@@ -13,8 +13,9 @@
 // MaxContent_MobileNet, ApproxDet, SSD, YOLO.
 //
 // For the scheduler-driven protocols, -trace <file> writes every
-// scheduler decision as JSON Lines and -metrics prints the run's metrics
-// registry in Prometheus exposition format. -faults injects a seeded
+// scheduler decision as JSON Lines (a .gz suffix gzip-compresses it, as
+// on every CLI) and -metrics prints the run's metrics registry in
+// Prometheus exposition format. -faults injects a seeded
 // deterministic fault schedule (e.g. -faults spike=0.05,extract=0.1)
 // and engages the scheduler's graceful-degradation machinery.
 package main
@@ -27,15 +28,13 @@ import (
 	"path/filepath"
 	"strings"
 
+	"litereconfig/internal/cmdutil"
 	"litereconfig/internal/contend"
 	"litereconfig/internal/core"
-	"litereconfig/internal/fault"
 	"litereconfig/internal/fixture"
 	"litereconfig/internal/harness"
 	"litereconfig/internal/obs"
 	"litereconfig/internal/report"
-	"litereconfig/internal/sched"
-	"litereconfig/internal/simlat"
 	"litereconfig/internal/vid"
 )
 
@@ -74,35 +73,26 @@ func main() {
 	valVideos := flag.Int("val_videos", 20, "validation videos")
 	frames := flag.Int("frames", 240, "frames per validation video")
 	seed := flag.Int64("seed", 7, "corpus seed")
-	traceFile := flag.String("trace", "", "write the scheduler decision trace (JSON Lines) to this file")
+	traceFile := flag.String("trace", "", "write the scheduler decision trace (JSON Lines) to this file; a .gz suffix gzip-compresses it")
 	metrics := flag.Bool("metrics", false, "print the metrics registry (Prometheus exposition format) after the run")
 	faults := flag.String("faults", "", "fault-injection spec, e.g. spike=0.05,extract=0.1,burst=0.02,stall=0.01 (empty = no faults)")
 	flag.Parse()
 
-	dev, ok := simlat.DeviceByName(*device)
-	if !ok {
-		log.Fatalf("unknown device %q (want tx2 or xv)", *device)
+	dev, err := cmdutil.Device(*device)
+	if err != nil {
+		log.Fatal(err)
 	}
 	name, err := protocolName(*protoFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Models: load from file or train a compact set on the fly.
-	var models *sched.Models
-	if *modelFile != "" {
-		models, err = sched.LoadFile(*modelFile)
-		if err != nil {
-			log.Fatalf("load models: %v", err)
-		}
-		log.Printf("loaded %s (%d branches)", *modelFile, len(models.Branches))
-	} else {
-		log.Printf("no --models given; training a compact model set (use lrtrain for the full pipeline)")
-		set, err := fixture.Small()
-		if err != nil {
-			log.Fatalf("training failed: %v", err)
-		}
-		models = set.Models
+	faultCfg, err := cmdutil.Faults(*faults, *seed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	models, err := cmdutil.LoadModels(*modelFile)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Validation corpus (disjoint seed range from training, Sec. 5.2).
@@ -126,19 +116,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *faults != "" {
-		fc, err := fault.ParseSpec(*faults)
-		if err != nil {
-			log.Fatalf("bad --faults: %v", err)
-		}
-		if fc.Seed == 0 {
-			fc.Seed = *seed
-		}
+	if faultCfg != nil {
 		pl, ok := p.(*core.Pipeline)
 		if !ok {
 			log.Fatalf("protocol %s has no scheduler; --faults requires a scheduler-driven protocol", name)
 		}
-		pl.Faults = fc
+		pl.Faults = faultCfg
 		pl.FaultSeed = *seed
 		log.Printf("fault injection on: %s (seed %d)", *faults, *seed)
 	}
@@ -177,17 +160,9 @@ func main() {
 		}
 	}
 	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			log.Fatalf("trace: %v", err)
+		if err := cmdutil.WriteTrace(*traceFile, observer.WriteTrace, len(observer.Decisions()), "decisions"); err != nil {
+			log.Fatal(err)
 		}
-		if err := observer.WriteTrace(f); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		log.Printf("wrote %d decisions to %s", len(observer.Decisions()), *traceFile)
 	}
 	if *metrics {
 		fmt.Println()

@@ -39,70 +39,38 @@
 //
 // Observability: -trace writes the merged scheduler decision trace,
 // -fleet_trace the fleet placement/migration trace (both JSON Lines,
-// byte-identical across runs for fixed seeds), and -metrics dumps the
-// board-labeled metrics registry in Prometheus exposition format.
+// byte-identical across runs for fixed seeds; a .gz suffix
+// gzip-compresses either), and -metrics dumps the board-labeled metrics
+// registry in Prometheus exposition format.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"strconv"
-	"strings"
 
 	"litereconfig/internal/adapt"
-	"litereconfig/internal/core"
+	"litereconfig/internal/cmdutil"
 	"litereconfig/internal/fault"
-	"litereconfig/internal/fixture"
 	"litereconfig/internal/fleet"
 	"litereconfig/internal/obs"
-	"litereconfig/internal/sched"
 	"litereconfig/internal/serve"
-	"litereconfig/internal/simlat"
 	"litereconfig/internal/vid"
 )
-
-// parsePolicy maps a policy flag token to the scheduler variant.
-func parsePolicy(s string) (core.Policy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "full", "litereconfig":
-		return core.PolicyFull, nil
-	case "mincost":
-		return core.PolicyMinCost, nil
-	case "maxcontent-resnet", "resnet":
-		return core.PolicyMaxContentResNet, nil
-	case "maxcontent-mobilenet", "mobilenet":
-		return core.PolicyMaxContentMobileNet, nil
-	}
-	return 0, fmt.Errorf("unknown policy %q", s)
-}
-
-// parseFloats splits a comma-separated float list.
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, tok := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lrfleet: ")
 
+	var board serve.BoardConfig
 	boards := flag.Int("boards", 3, "number of boards in the fleet")
 	streams := flag.Int("streams", 9, "number of streams to submit")
 	slos := flag.String("slos", "50,100", "comma-separated per-frame SLOs in ms, cycled across streams")
 	policies := flag.String("policies", "full", "comma-separated scheduler policies, cycled across streams (full, mincost, maxcontent-resnet, maxcontent-mobilenet)")
 	device := flag.String("mobile_device", "tx2", "device for every board: tx2 or xv")
-	gpuSlots := flag.Int("gpu_slots", 2, "per-board worker pool size / GPU slot count")
-	coupling := flag.Float64("coupling", serve.DefaultCoupling, "per-board cross-stream occupancy-to-contention coupling")
-	roundMS := flag.Float64("round_ms", serve.DefaultRoundMS, "simulated board round length in ms")
+	flag.IntVar(&board.GPUSlots, "gpu_slots", 2, "per-board worker pool size / GPU slot count")
+	flag.Float64Var(&board.Coupling, "coupling", serve.DefaultCoupling, "per-board cross-stream occupancy-to-contention coupling")
+	flag.Float64Var(&board.RoundMS, "round_ms", serve.DefaultRoundMS, "simulated board round length in ms")
 	frames := flag.Int("frames", 120, "frames per stream video")
 	seed := flag.Int64("seed", 7, "base seed for stream videos")
 	faults := flag.String("faults", "", `board-scoped fault spec: semicolon-separated entries, each "<spec>" (fleet-wide) or "<board>:<spec>", e.g. "spike=0.01;b1:panic=0.3"`)
@@ -124,56 +92,32 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the metrics registry (Prometheus exposition format) after the run")
 	flag.Parse()
 
-	dev, ok := simlat.DeviceByName(*device)
-	if !ok {
-		log.Fatalf("unknown device %q (want tx2 or xv)", *device)
+	if *adaptStagger && !*adaptOn {
+		log.Fatal("-adapt_stagger requires -adapt")
 	}
-	sloList, err := parseFloats(*slos)
+	var err error
+	if board.Device, err = cmdutil.Device(*device); err != nil {
+		log.Fatal(err)
+	}
+	sloList, err := cmdutil.ParseFloats(*slos)
 	if err != nil {
 		log.Fatalf("bad --slos: %v", err)
 	}
-	var policyList []core.Policy
-	for _, tok := range strings.Split(*policies, ",") {
-		p, err := parsePolicy(tok)
-		if err != nil {
-			log.Fatal(err)
-		}
-		policyList = append(policyList, p)
+	policyList, err := cmdutil.ParsePolicies(*policies)
+	if err != nil {
+		log.Fatal(err)
 	}
-	faultSpecs := map[string]*fault.Config{}
-	if *faults != "" {
-		faultSpecs, err = fault.ParseBoardSpecs(*faults)
-		if err != nil {
-			log.Fatalf("bad --faults: %v", err)
-		}
-		boardNames := make([]string, *boards)
-		for i := range boardNames {
-			boardNames[i] = fmt.Sprintf("b%d", i)
-		}
-		if err := fault.ValidateBoards(faultSpecs, boardNames); err != nil {
-			log.Fatalf("bad --faults: %v", err)
-		}
-		for _, c := range faultSpecs {
-			if c.Seed == 0 {
-				c.Seed = *seed
-			}
-		}
+	var boardNames []string
+	for i := 0; i < *boards; i++ {
+		boardNames = append(boardNames, fmt.Sprintf("b%d", i))
 	}
-
-	var models *sched.Models
-	if *modelFile != "" {
-		models, err = sched.LoadFile(*modelFile)
-		if err != nil {
-			log.Fatalf("load models: %v", err)
-		}
-		log.Printf("loaded %s (%d branches)", *modelFile, len(models.Branches))
-	} else {
-		log.Printf("no --models given; training a compact model set (use lrtrain for the full pipeline)")
-		set, err := fixture.Small()
-		if err != nil {
-			log.Fatalf("training failed: %v", err)
-		}
-		models = set.Models
+	faultSpecs, err := cmdutil.BoardFaults(*faults, boardNames, *seed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	models, err := cmdutil.LoadModels(*modelFile)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var observer *obs.Observer
@@ -182,22 +126,15 @@ func main() {
 	}
 
 	var boardCfgs []fleet.BoardConfig
-	for i := 0; i < *boards; i++ {
-		name := fmt.Sprintf("b%d", i)
-		boardCfgs = append(boardCfgs, fleet.BoardConfig{
-			Name:     name,
-			Device:   dev,
-			GPUSlots: *gpuSlots,
-			Coupling: *coupling,
-			RoundMS:  *roundMS,
-			Faults:   fault.BoardConfig(faultSpecs, name),
-		})
+	for _, name := range boardNames {
+		bc := board
+		bc.Name = name
+		bc.Faults = fault.BoardConfig(faultSpecs, name)
+		boardCfgs = append(boardCfgs, bc)
 	}
 	var adaptCfg *adapt.Config
 	if *adaptOn {
 		adaptCfg = &adapt.Config{}
-	} else if *adaptStagger {
-		log.Fatal("-adapt_stagger requires -adapt")
 	}
 	fl, err := fleet.New(fleet.Options{
 		Models:             models,
@@ -222,7 +159,7 @@ func main() {
 	}
 
 	log.Printf("fleet of %d boards on %s: %d GPU slots each, coupling %.2f, round %.0f ms",
-		*boards, dev.Name, *gpuSlots, *coupling, *roundMS)
+		*boards, board.Device.Name, board.GPUSlots, board.Coupling, board.RoundMS)
 	if *faults != "" {
 		log.Printf("fault injection on: %s (seed %d)", *faults, *seed)
 	}
@@ -252,24 +189,15 @@ func main() {
 	fmt.Println()
 	fmt.Print(rep.Summary())
 
-	writeTrace := func(path string, write func(io.Writer) error, what string, n int) {
-		f, err := obs.CreateTrace(path)
-		if err != nil {
-			log.Fatalf("%s: %v", what, err)
-		}
-		if err := write(f); err != nil {
-			log.Fatalf("%s: %v", what, err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("%s: %v", what, err)
-		}
-		log.Printf("wrote %d %s to %s", n, what, path)
-	}
 	if *traceFile != "" {
-		writeTrace(*traceFile, rep.WriteTrace, "decisions", len(rep.Decisions()))
+		if err := cmdutil.WriteTrace(*traceFile, rep.WriteTrace, len(rep.Decisions()), "decisions"); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if *fleetTrace != "" {
-		writeTrace(*fleetTrace, rep.WriteFleetTrace, "fleet events", len(rep.FleetEvents()))
+		if err := cmdutil.WriteTrace(*fleetTrace, rep.WriteFleetTrace, len(rep.FleetEvents()), "fleet events"); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if *metrics {
 		fmt.Println()

@@ -27,7 +27,8 @@
 //
 // Observability: -trace and -fleet_trace write the scheduler decision
 // and fleet workload traces (JSON Lines, byte-identical across runs for
-// a fixed seed — arrivals, departures and preemptions included);
+// a fixed seed — arrivals, departures and preemptions included; a .gz
+// suffix gzip-compresses either);
 // -metrics dumps the per-tier/per-tenant labeled metrics registry.
 package main
 
@@ -35,17 +36,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 
-	"litereconfig/internal/fixture"
+	"litereconfig/internal/cmdutil"
 	"litereconfig/internal/fleet"
 	"litereconfig/internal/metric"
 	"litereconfig/internal/obs"
-	"litereconfig/internal/sched"
 	"litereconfig/internal/serve"
-	"litereconfig/internal/simlat"
 	"litereconfig/internal/workload"
 )
 
@@ -107,15 +105,16 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lrload: ")
 
+	var board serve.BoardConfig
 	scenario := flag.String("scenario", "flashcrowd", "workload scenario: diurnal, flashcrowd or heavytail")
 	scale := flag.String("scale", "small", "scenario scale: small, medium or large")
 	seed := flag.Int64("seed", 7, "workload seed (arrival times, tiers, tenants, videos)")
 	boards := flag.Int("boards", 1, "number of boards in the fleet")
 	device := flag.String("mobile_device", "tx2", "device for every board: tx2 or xv")
-	gpuSlots := flag.Int("gpu_slots", 2, "per-board worker pool size / GPU slot count")
-	maxOcc := flag.Float64("max_occupancy", 0, "per-board admission occupancy threshold (0 = engine default)")
-	coupling := flag.Float64("coupling", serve.DefaultCoupling, "per-board cross-stream occupancy-to-contention coupling")
-	roundMS := flag.Float64("round_ms", serve.DefaultRoundMS, "simulated board round length in ms")
+	flag.IntVar(&board.GPUSlots, "gpu_slots", 2, "per-board worker pool size / GPU slot count")
+	flag.Float64Var(&board.MaxOccupancy, "max_occupancy", 0, "per-board admission occupancy threshold (0 = engine default)")
+	flag.Float64Var(&board.Coupling, "coupling", serve.DefaultCoupling, "per-board cross-stream occupancy-to-contention coupling")
+	flag.Float64Var(&board.RoundMS, "round_ms", serve.DefaultRoundMS, "simulated board round length in ms")
 	noWFQ := flag.Bool("no_wfq", false, "FIFO ablation: single submission-order queue, no preemption")
 	compare := flag.Bool("compare", false, "run both WFQ+preemption and the FIFO ablation on the same schedule")
 	riskQ := flag.Float64("risk_q", 0, "probabilistic SLO admission quantile in (0,1), e.g. 0.95 (0 = legacy mean admission)")
@@ -123,34 +122,31 @@ func main() {
 	covBand := flag.String("coverage_band", "", "with -bench_risk: fail (exit 1) unless overall p95 interval coverage lands in \"lo,hi\", e.g. 0.90,0.99 — the CI calibration smoke")
 	outFile := flag.String("out", "", "write the bench artifact (JSON) to this file")
 	modelFile := flag.String("models", "", "trained model file from lrtrain (trains a small model set if empty)")
-	traceFile := flag.String("trace", "", "write the merged scheduler decision trace (JSON Lines) to this file")
-	fleetTrace := flag.String("fleet_trace", "", "write the fleet workload trace (JSON Lines) to this file")
+	traceFile := flag.String("trace", "", "write the merged scheduler decision trace (JSON Lines) to this file; a .gz suffix gzip-compresses it")
+	fleetTrace := flag.String("fleet_trace", "", "write the fleet workload trace (JSON Lines) to this file; a .gz suffix gzip-compresses it")
 	metrics := flag.Bool("metrics", false, "print the metrics registry (Prometheus exposition format) after the run")
 	flag.Parse()
 
-	dev, ok := simlat.DeviceByName(*device)
-	if !ok {
-		log.Fatalf("unknown device %q (want tx2 or xv)", *device)
+	var covLo, covHi float64
+	if *covBand != "" {
+		if !*benchRisk {
+			log.Fatal("-coverage_band needs -bench_risk")
+		}
+		if _, err := fmt.Sscanf(*covBand, "%f,%f", &covLo, &covHi); err != nil {
+			log.Fatalf("bad -coverage_band %q (want lo,hi): %v", *covBand, err)
+		}
+	}
+	var err error
+	if board.Device, err = cmdutil.Device(*device); err != nil {
+		log.Fatal(err)
 	}
 	wcfg, err := workload.Scenario(*scenario, *scale, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	var models *sched.Models
-	if *modelFile != "" {
-		models, err = sched.LoadFile(*modelFile)
-		if err != nil {
-			log.Fatalf("load models: %v", err)
-		}
-		log.Printf("loaded %s (%d branches)", *modelFile, len(models.Branches))
-	} else {
-		log.Printf("no -models given; training a compact model set (use lrtrain for the full pipeline)")
-		set, err := fixture.Small()
-		if err != nil {
-			log.Fatalf("training failed: %v", err)
-		}
-		models = set.Models
+	models, err := cmdutil.LoadModels(*modelFile)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	runOne := func(wfq bool, observed bool, risk float64) (*fleet.Report, runBench) {
@@ -166,20 +162,15 @@ func main() {
 		}
 		var boardCfgs []fleet.BoardConfig
 		for i := 0; i < *boards; i++ {
-			boardCfgs = append(boardCfgs, fleet.BoardConfig{
-				Name:         fmt.Sprintf("b%d", i),
-				Device:       dev,
-				GPUSlots:     *gpuSlots,
-				MaxOccupancy: *maxOcc,
-				Coupling:     *coupling,
-				RoundMS:      *roundMS,
-			})
+			bc := board
+			bc.Name = fmt.Sprintf("b%d", i)
+			boardCfgs = append(boardCfgs, bc)
 		}
 		opts := fleet.Options{
 			Models:       models,
 			Boards:       boardCfgs,
 			Source:       sched,
-			TickMS:       *roundMS,
+			TickMS:       board.RoundMS,
 			Observer:     observer,
 			RiskQuantile: risk,
 		}
@@ -212,9 +203,9 @@ func main() {
 		Scenario: *scenario,
 		Scale:    *scale,
 		Seed:     *seed,
-		Device:   dev.Name,
+		Device:   board.Device.Name,
 		Boards:   *boards,
-		GPUSlots: *gpuSlots,
+		GPUSlots: board.GPUSlots,
 	}
 	var mainRep *fleet.Report
 	switch {
@@ -247,19 +238,15 @@ func main() {
 			fmt.Print(cal.Report())
 		}
 		if *covBand != "" {
-			var lo, hi float64
-			if _, err := fmt.Sscanf(*covBand, "%f,%f", &lo, &hi); err != nil {
-				log.Fatalf("bad -coverage_band %q (want lo,hi): %v", *covBand, err)
-			}
 			if out.OverallCoverage == nil {
 				log.Fatal("coverage band requested but the run produced no risk decisions")
 			}
-			if c := *out.OverallCoverage; c < lo || c > hi {
+			if c := *out.OverallCoverage; c < covLo || c > covHi {
 				log.Fatalf("calibration smoke FAILED: overall p95 coverage %.3f outside [%.2f, %.2f] (%d decisions)",
-					c, lo, hi, out.CoverageSamples)
+					c, covLo, covHi, out.CoverageSamples)
 			}
 			log.Printf("calibration smoke ok: coverage %.3f in [%.2f, %.2f] (%d decisions)",
-				*out.OverallCoverage, lo, hi, out.CoverageSamples)
+				*out.OverallCoverage, covLo, covHi, out.CoverageSamples)
 		}
 		mainRep = repR
 	case *compare:
@@ -304,24 +291,15 @@ func main() {
 		log.Printf("wrote %s", *outFile)
 	}
 
-	writeTrace := func(path string, write func(io.Writer) error, what string, n int) {
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatalf("%s: %v", what, err)
-		}
-		if err := write(f); err != nil {
-			log.Fatalf("%s: %v", what, err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("%s: %v", what, err)
-		}
-		log.Printf("wrote %d %s to %s", n, what, path)
-	}
 	if *traceFile != "" {
-		writeTrace(*traceFile, mainRep.WriteTrace, "decisions", len(mainRep.Decisions()))
+		if err := cmdutil.WriteTrace(*traceFile, mainRep.WriteTrace, len(mainRep.Decisions()), "decisions"); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if *fleetTrace != "" {
-		writeTrace(*fleetTrace, mainRep.WriteFleetTrace, "fleet events", len(mainRep.FleetEvents()))
+		if err := cmdutil.WriteTrace(*fleetTrace, mainRep.WriteFleetTrace, len(mainRep.FleetEvents()), "fleet events"); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if *metrics {
 		fmt.Println()

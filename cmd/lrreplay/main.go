@@ -44,7 +44,7 @@ import (
 	"time"
 
 	"litereconfig/internal/adapt"
-	"litereconfig/internal/fixture"
+	"litereconfig/internal/cmdutil"
 	"litereconfig/internal/obs"
 	"litereconfig/internal/replay"
 	"litereconfig/internal/sched"
@@ -114,7 +114,7 @@ func main() {
 		corpus.Decisions(), corpus.Frames(), len(corpus.Files), corpus.SimMS()/1e3, corpus.FleetEvents())
 
 	if *sloSweep != "" {
-		points, err := parseFloats(*sloSweep)
+		points, err := cmdutil.ParseFloats(*sloSweep)
 		if err != nil {
 			log.Fatalf("bad -slo_sweep: %v", err)
 		}
@@ -123,7 +123,7 @@ func main() {
 	}
 
 	if *riskSweep != "" {
-		points, err := parseFloats(*riskSweep)
+		points, err := cmdutil.ParseFloats(*riskSweep)
 		if err != nil {
 			log.Fatalf("bad -risk_sweep: %v", err)
 		}
@@ -164,7 +164,11 @@ func loadModels(mode, modelFile, registryPath, version string) (*sched.Models, b
 		if registryPath != "" {
 			log.Fatal("-registry only applies with -models adapted")
 		}
-		return loadBundle(modelFile), false
+		m, err := cmdutil.LoadModels(modelFile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return m, false
 	case "adapted":
 		if registryPath == "" {
 			log.Fatal("-models adapted needs -registry <gob>")
@@ -199,23 +203,6 @@ func loadModels(mode, modelFile, registryPath, version string) (*sched.Models, b
 	}
 	log.Fatalf("unknown -models mode %q (want frozen or adapted)", mode)
 	return nil, false
-}
-
-func loadBundle(modelFile string) *sched.Models {
-	if modelFile != "" {
-		m, err := sched.LoadFile(modelFile)
-		if err != nil {
-			log.Fatalf("load models: %v", err)
-		}
-		log.Printf("loaded %s (%d branches)", modelFile, len(m.Branches))
-		return m
-	}
-	log.Printf("no -model_file given; training the compact fixture set (must match the recording's bundle for identity)")
-	set, err := fixture.Small()
-	if err != nil {
-		log.Fatalf("training failed: %v", err)
-	}
-	return set.Models
 }
 
 // runSweep replays the corpus once per SLO point and prints the sweep
@@ -370,7 +357,7 @@ func runBench(path string, base replay.Config, sloSweep string, streams, frames 
 	sweep := []float64{15, 33.3, 50, 100}
 	if sloSweep != "" {
 		var err error
-		if sweep, err = parseFloats(sloSweep); err != nil {
+		if sweep, err = cmdutil.ParseFloats(sloSweep); err != nil {
 			log.Fatalf("bad -slo_sweep: %v", err)
 		}
 	}
@@ -499,16 +486,4 @@ func ratio(num, den time.Duration) float64 {
 		return 0
 	}
 	return float64(num) / float64(den)
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, tok := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -14,7 +14,8 @@
 // not.
 //
 // Observability: -trace <file> writes every scheduler decision (one JSON
-// object per line, byte-identical across runs for fixed seeds), and
+// object per line, byte-identical across runs for fixed seeds; a .gz
+// suffix gzip-compresses it), and
 // -metrics dumps the engine's metrics registry in Prometheus exposition
 // format after the drain.
 //
@@ -29,66 +30,33 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strconv"
-	"strings"
 
 	"litereconfig/internal/adapt"
-	"litereconfig/internal/core"
-	"litereconfig/internal/fault"
-	"litereconfig/internal/fixture"
+	"litereconfig/internal/cmdutil"
 	"litereconfig/internal/obs"
-	"litereconfig/internal/sched"
 	"litereconfig/internal/serve"
-	"litereconfig/internal/simlat"
 	"litereconfig/internal/vid"
 )
-
-// parsePolicy maps a policy flag token to the scheduler variant.
-func parsePolicy(s string) (core.Policy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "full", "litereconfig":
-		return core.PolicyFull, nil
-	case "mincost":
-		return core.PolicyMinCost, nil
-	case "maxcontent-resnet", "resnet":
-		return core.PolicyMaxContentResNet, nil
-	case "maxcontent-mobilenet", "mobilenet":
-		return core.PolicyMaxContentMobileNet, nil
-	}
-	return 0, fmt.Errorf("unknown policy %q", s)
-}
-
-// parseFloats splits a comma-separated float list.
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, tok := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lrserve: ")
 
+	var board serve.BoardConfig
 	streams := flag.Int("streams", 8, "number of concurrent streams")
 	slos := flag.String("slos", "33.3,50", "comma-separated per-frame SLOs in ms, cycled across streams")
 	policies := flag.String("policies", "full", "comma-separated scheduler policies, cycled across streams (full, mincost, maxcontent-resnet, maxcontent-mobilenet)")
 	device := flag.String("mobile_device", "tx2", "device: tx2 or xv")
-	gpuSlots := flag.Int("gpu_slots", 2, "worker pool size / GPU slot count")
-	maxOcc := flag.Float64("max_occupancy", 0, "admission threshold on aggregate GPU occupancy (default 2 x gpu_slots)")
-	coupling := flag.Float64("coupling", serve.DefaultCoupling, "cross-stream occupancy-to-contention coupling")
-	roundMS := flag.Float64("round_ms", serve.DefaultRoundMS, "simulated board round length in ms")
-	queueLimit := flag.Int("queue_limit", serve.DefaultQueueLimit, "admission queue capacity (backpressure beyond it)")
+	flag.IntVar(&board.GPUSlots, "gpu_slots", 2, "worker pool size / GPU slot count")
+	flag.Float64Var(&board.MaxOccupancy, "max_occupancy", 0, "admission threshold on aggregate GPU occupancy (default 2 x gpu_slots)")
+	flag.Float64Var(&board.Coupling, "coupling", serve.DefaultCoupling, "cross-stream occupancy-to-contention coupling")
+	flag.Float64Var(&board.RoundMS, "round_ms", serve.DefaultRoundMS, "simulated board round length in ms")
+	flag.IntVar(&board.QueueLimit, "queue_limit", serve.DefaultQueueLimit, "admission queue capacity (backpressure beyond it)")
 	frames := flag.Int("frames", 120, "frames per stream video")
 	seed := flag.Int64("seed", 7, "base seed for stream videos")
 	faults := flag.String("faults", "", "fault-injection spec, e.g. spike=0.05,extract=0.1,burst=0.02,stall=0.01,panic=0.005 (empty = no faults)")
-	retryLimit := flag.Int("retry_limit", serve.DefaultRetryLimit, "recovered worker panics a stream may accumulate before quarantine")
-	stallRounds := flag.Int("stall_rounds", serve.DefaultStallRounds, "consecutive zero-progress rounds before a stream is quarantined")
+	flag.IntVar(&board.RetryLimit, "retry_limit", serve.DefaultRetryLimit, "recovered worker panics a stream may accumulate before quarantine")
+	flag.IntVar(&board.StallRounds, "stall_rounds", serve.DefaultStallRounds, "consecutive zero-progress rounds before a stream is quarantined")
 	modelFile := flag.String("models", "", "trained model file from lrtrain (trains a small model set if empty)")
 	adaptOn := flag.Bool("adapt", false, "enable online model adaptation (per-stream refit with champion-challenger rollout into a board registry)")
 	registryOut := flag.String("registry_out", "", "save the board's adaptation registry (gob) after the drain, for lrreplay -models adapted (needs -adapt)")
@@ -98,47 +66,27 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the metrics registry (Prometheus exposition format) after the drain")
 	flag.Parse()
 
-	dev, ok := simlat.DeviceByName(*device)
-	if !ok {
-		log.Fatalf("unknown device %q (want tx2 or xv)", *device)
+	if *registryOut != "" && !*adaptOn {
+		log.Fatal("-registry_out needs -adapt")
 	}
-	sloList, err := parseFloats(*slos)
+	var err error
+	if board.Device, err = cmdutil.Device(*device); err != nil {
+		log.Fatal(err)
+	}
+	sloList, err := cmdutil.ParseFloats(*slos)
 	if err != nil {
 		log.Fatalf("bad --slos: %v", err)
 	}
-	var policyList []core.Policy
-	for _, tok := range strings.Split(*policies, ",") {
-		p, err := parsePolicy(tok)
-		if err != nil {
-			log.Fatal(err)
-		}
-		policyList = append(policyList, p)
+	policyList, err := cmdutil.ParsePolicies(*policies)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var faultCfg *fault.Config
-	if *faults != "" {
-		faultCfg, err = fault.ParseSpec(*faults)
-		if err != nil {
-			log.Fatalf("bad --faults: %v", err)
-		}
-		if faultCfg.Seed == 0 {
-			faultCfg.Seed = *seed
-		}
+	if board.Faults, err = cmdutil.Faults(*faults, *seed); err != nil {
+		log.Fatal(err)
 	}
-
-	var models *sched.Models
-	if *modelFile != "" {
-		models, err = sched.LoadFile(*modelFile)
-		if err != nil {
-			log.Fatalf("load models: %v", err)
-		}
-		log.Printf("loaded %s (%d branches)", *modelFile, len(models.Branches))
-	} else {
-		log.Printf("no --models given; training a compact model set (use lrtrain for the full pipeline)")
-		set, err := fixture.Small()
-		if err != nil {
-			log.Fatalf("training failed: %v", err)
-		}
-		models = set.Models
+	models, err := cmdutil.LoadModels(*modelFile)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var observer *obs.Observer
@@ -153,15 +101,7 @@ func main() {
 
 	srv, err := serve.New(serve.Options{
 		Models:       models,
-		Device:       dev,
-		GPUSlots:     *gpuSlots,
-		MaxOccupancy: *maxOcc,
-		Coupling:     *coupling,
-		RoundMS:      *roundMS,
-		QueueLimit:   *queueLimit,
-		Faults:       faultCfg,
-		RetryLimit:   *retryLimit,
-		StallRounds:  *stallRounds,
+		BoardConfig:  board,
 		Observer:     observer,
 		Adapt:        adaptCfg,
 		ReplayTrace:  *replayTrace,
@@ -172,9 +112,9 @@ func main() {
 	}
 
 	log.Printf("serving %d streams on %s: %d GPU slots, coupling %.2f, round %.0f ms",
-		*streams, dev.Name, srv.Options().GPUSlots, srv.Options().Coupling,
+		*streams, board.Device.Name, srv.Options().GPUSlots, srv.Options().Coupling,
 		srv.Options().RoundMS)
-	if faultCfg != nil {
+	if board.Faults != nil {
 		log.Printf("fault injection on: %s (seed %d)", *faults, *seed)
 	}
 	submitted := 0
@@ -223,9 +163,6 @@ func main() {
 
 	if *registryOut != "" {
 		reg := srv.AdaptRegistry()
-		if reg == nil {
-			log.Fatal("-registry_out needs -adapt")
-		}
 		if err := reg.SaveFile(*registryOut); err != nil {
 			log.Fatalf("save registry: %v", err)
 		}
@@ -233,17 +170,9 @@ func main() {
 	}
 
 	if *traceFile != "" {
-		f, err := obs.CreateTrace(*traceFile)
-		if err != nil {
-			log.Fatalf("trace: %v", err)
+		if err := cmdutil.WriteTrace(*traceFile, res.WriteTrace, len(res.Decisions()), "decisions"); err != nil {
+			log.Fatal(err)
 		}
-		if err := res.WriteTrace(f); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		log.Printf("wrote %d decisions to %s", len(res.Decisions()), *traceFile)
 	}
 	if *metrics {
 		fmt.Println()

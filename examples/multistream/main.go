@@ -25,7 +25,8 @@ const (
 
 // board serves n streams of the given policy and returns the report.
 func board(set *fixture.Setup, n int, policy core.Policy) *serve.Result {
-	srv, err := serve.New(serve.Options{Models: set.Models, GPUSlots: 2})
+	srv, err := serve.New(serve.Options{Models: set.Models,
+		BoardConfig: serve.BoardConfig{GPUSlots: 2}})
 	if err != nil {
 		log.Fatal(err)
 	}

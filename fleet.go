@@ -36,6 +36,30 @@ type BoardSpec struct {
 	Faults *FaultConfig
 }
 
+// inner converts to the serving engine's board config, resolving the
+// device name.
+func (bs BoardSpec) inner() (serve.BoardConfig, error) {
+	bc := serve.BoardConfig{
+		Name:         bs.Name,
+		GPUSlots:     bs.GPUSlots,
+		MaxOccupancy: bs.MaxOccupancy,
+		Coupling:     bs.Coupling,
+		QueueLimit:   bs.QueueLimit,
+		RoundMS:      bs.RoundMS,
+		RetryLimit:   bs.RetryLimit,
+		StallRounds:  bs.StallRounds,
+		Faults:       bs.Faults.inner(),
+	}
+	if bs.Device != "" {
+		dev, ok := simlat.DeviceByName(string(bs.Device))
+		if !ok {
+			return bc, fmt.Errorf("unknown device %q", bs.Device)
+		}
+		bc.Device = dev
+	}
+	return bc, nil
+}
+
 // FleetConfig configures a multi-board fleet dispatcher.
 type FleetConfig struct {
 	// Boards describes the fleet's boards. At least one is required.
@@ -114,23 +138,9 @@ func NewFleet(models *Models, cfg FleetConfig) (*Fleet, error) {
 		ReplayTrace:      cfg.ReplayTrace,
 	}
 	for _, bs := range cfg.Boards {
-		bc := fleet.BoardConfig{
-			Name:         bs.Name,
-			GPUSlots:     bs.GPUSlots,
-			MaxOccupancy: bs.MaxOccupancy,
-			Coupling:     bs.Coupling,
-			QueueLimit:   bs.QueueLimit,
-			RoundMS:      bs.RoundMS,
-			RetryLimit:   bs.RetryLimit,
-			StallRounds:  bs.StallRounds,
-			Faults:       bs.Faults.inner(),
-		}
-		if bs.Device != "" {
-			dev, ok := simlat.DeviceByName(string(bs.Device))
-			if !ok {
-				return nil, fmt.Errorf("litereconfig: board %q: unknown device %q", bs.Name, bs.Device)
-			}
-			bc.Device = dev
+		bc, err := bs.inner()
+		if err != nil {
+			return nil, fmt.Errorf("litereconfig: board %q: %w", bs.Name, err)
 		}
 		opts.Boards = append(opts.Boards, bc)
 	}

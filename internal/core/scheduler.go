@@ -113,7 +113,8 @@ type Options struct {
 	IgnoreFeatureOverhead bool
 
 	// SafetyFactor shrinks the SLO to a planning budget so that latency
-	// jitter keeps the P95 under the objective. Defaults to 0.88.
+	// jitter keeps the P95 under the objective. Defaults to
+	// DefaultSafetyFactor.
 	SafetyFactor float64
 	// Hysteresis is the predicted-accuracy margin a new branch must beat
 	// the current branch by before the full policy switches — the
@@ -289,7 +290,7 @@ func New(opts Options) (*Scheduler, error) {
 		return nil, fmt.Errorf("core: SLO must be positive, got %v", opts.SLO)
 	}
 	if opts.SafetyFactor == 0 {
-		opts.SafetyFactor = 0.88
+		opts.SafetyFactor = DefaultSafetyFactor
 	}
 	if opts.Hysteresis == 0 {
 		opts.Hysteresis = 0.004
@@ -502,7 +503,7 @@ func (s *Scheduler) BreakerOpens() int {
 // Name returns the variant name.
 func (s *Scheduler) Name() string {
 	if s.opts.Policy == PolicyForceFeature {
-		return fmt.Sprintf("LiteReconfig-Force-%s", s.opts.ForcedFeature)
+		return forceName + s.opts.ForcedFeature.String()
 	}
 	return s.opts.Policy.String()
 }

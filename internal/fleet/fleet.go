@@ -27,13 +27,12 @@ import (
 
 	"litereconfig/internal/adapt"
 	"litereconfig/internal/ckpt"
-	"litereconfig/internal/fault"
-	"litereconfig/internal/glm"
+	"litereconfig/internal/core"
 	"litereconfig/internal/feat"
+	"litereconfig/internal/glm"
 	"litereconfig/internal/obs"
 	"litereconfig/internal/sched"
 	"litereconfig/internal/serve"
-	"litereconfig/internal/simlat"
 )
 
 // Defaults for Options fields left zero.
@@ -54,9 +53,6 @@ const (
 	// DefaultMaxMigrations caps per-stream hand-offs so an unplaceable
 	// stream cannot ping-pong between boards forever.
 	DefaultMaxMigrations = 3
-	// DefaultSafetyFactor shrinks the SLO to a planning budget, matching
-	// the stream scheduler's own safety factor.
-	DefaultSafetyFactor = 0.88
 	// DefaultTickMS is the simulated milliseconds of fleet virtual time
 	// one barrier advances when driving an open-loop Source — the board
 	// round length, so arrivals land at round boundaries.
@@ -79,30 +75,10 @@ type Source interface {
 	Exhausted() bool
 }
 
-// BoardConfig describes one board of the fleet. Zero fields take the
-// serving engine's defaults.
-type BoardConfig struct {
-	// Name labels the board in reports, metrics and traces. Default
-	// "board-<index>".
-	Name string
-	// Device is the board's hardware profile. Default TX2.
-	Device simlat.Device
-	// GPUSlots, MaxOccupancy, Coupling, QueueLimit, RoundMS, RetryLimit
-	// and StallRounds configure the board's serving engine (see
-	// serve.Options).
-	GPUSlots     int
-	MaxOccupancy float64
-	Coupling     float64
-	QueueLimit   int
-	RoundMS      float64
-	RetryLimit   int
-	StallRounds  int
-	// Faults is the board-scoped fault environment: every stream served
-	// by this board inherits it unless the stream carries its own fault
-	// config or plan. A migrated stream sheds the old board's faults and
-	// inherits the destination's.
-	Faults *fault.Config
-}
+// BoardConfig describes one board of the fleet (see serve.BoardConfig).
+// Zero fields take the serving engine's defaults; an unnamed board is
+// named "board-<index>".
+type BoardConfig = serve.BoardConfig
 
 // Options configures a Fleet.
 type Options struct {
@@ -125,7 +101,8 @@ type Options struct {
 	CloneMS float64
 	// MaxMigrations caps per-stream board hand-offs. Default 3.
 	MaxMigrations int
-	// SafetyFactor shrinks SLOs to planning budgets. Default 0.88.
+	// SafetyFactor shrinks SLOs to planning budgets. Default
+	// core.DefaultSafetyFactor.
 	SafetyFactor float64
 	// DisableMigration turns off live migration (both SLO-driven and
 	// board-quarantine evacuation): streams stay where they were placed,
@@ -223,7 +200,7 @@ func (o Options) withDefaults() Options {
 		o.MaxMigrations = DefaultMaxMigrations
 	}
 	if o.SafetyFactor <= 0 {
-		o.SafetyFactor = DefaultSafetyFactor
+		o.SafetyFactor = core.DefaultSafetyFactor
 	}
 	if o.TickMS <= 0 {
 		o.TickMS = DefaultTickMS
@@ -394,16 +371,7 @@ func New(opts Options) (*Fleet, error) {
 		}
 		srv, err := serve.New(serve.Options{
 			Models:       opts.Models,
-			Device:       bc.Device,
-			GPUSlots:     bc.GPUSlots,
-			MaxOccupancy: bc.MaxOccupancy,
-			Coupling:     bc.Coupling,
-			QueueLimit:   bc.QueueLimit,
-			RoundMS:      bc.RoundMS,
-			RetryLimit:   bc.RetryLimit,
-			StallRounds:  bc.StallRounds,
-			Board:        bc.Name,
-			Faults:       bc.Faults,
+			BoardConfig:  bc,
 			Observer:     opts.Observer,
 			Adapt:        boardAdapt,
 			Admission:    opts.Admission,

@@ -181,8 +181,8 @@ func runEngine(models *sched.Models, c Cell, seed int64) (SimStats, float64, err
 		dec []obs.Decision
 	)
 	if c.Boards <= 1 {
-		o := serve.Options{Models: models, Observer: observer, Faults: faults,
-			RiskQuantile: c.RiskQ}
+		o := serve.Options{Models: models, Observer: observer,
+			BoardConfig: serve.BoardConfig{Faults: faults}, RiskQuantile: c.RiskQ}
 		if c.Admission == "wfq" {
 			o.Admission = serve.AdmissionWFQ
 			o.ClassWeights = weights

@@ -3,6 +3,7 @@ package replay
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"litereconfig/internal/core"
 	"litereconfig/internal/feat"
@@ -40,11 +41,15 @@ func New(cfg Config) (*Engine, error) {
 		e.branchIdx[b.String()] = i
 	}
 	if cfg.Policy != "" {
-		v, err := parsePolicyOverride(cfg.Policy)
-		if err != nil {
-			return nil, err
+		// A blank override is a typo, not "as recorded" or "full".
+		if strings.TrimSpace(cfg.Policy) == "" {
+			return nil, fmt.Errorf("replay: unknown policy override %q", cfg.Policy)
 		}
-		e.override = &v
+		p, k, err := core.ParsePolicy(cfg.Policy)
+		if err != nil {
+			return nil, fmt.Errorf("replay: policy override: %w", err)
+		}
+		e.override = &variant{policy: p, forced: k}
 		e.hasOverride = true
 	}
 	if cfg.SLOMS < 0 || cfg.SafetyFactor < 0 {
@@ -289,11 +294,11 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 		v = *e.override
 		manageOverhead = v.manageOverhead()
 	} else {
-		var err error
-		v, err = parsePolicyName(d.Policy)
+		p, k, err := core.PolicyByName(d.Policy)
 		if err != nil {
-			return Redecision{}, fmt.Errorf("%w (%s)", err, at())
+			return Redecision{}, fmt.Errorf("replay: %w (%s)", err, at())
 		}
+		v = variant{policy: p, forced: k}
 		manageOverhead = rp.ManageOverhead
 	}
 

@@ -14,7 +14,7 @@ func drainAdapted(t *testing.T, cfg *adapt.Config) (*Result, *obs.Observer, *Ser
 	t.Helper()
 	s := setup(t)
 	o := obs.New()
-	srv, err := New(Options{Models: s.Models, GPUSlots: 2, Adapt: cfg, Observer: o})
+	srv, err := New(Options{Models: s.Models, BoardConfig: BoardConfig{GPUSlots: 2}, Adapt: cfg, Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -359,7 +359,7 @@ func (s *Server) classCounter(base, class string) *obs.Counter {
 	if r == nil {
 		return nil
 	}
-	return r.Counter(obs.Labeled(base, obs.L("board", s.opts.Board), obs.L("class", class)))
+	return r.Counter(obs.Labeled(base, obs.L("board", s.opts.Name), obs.L("class", class)))
 }
 
 // tenantCounter returns the board- and tenant-labeled counter, or nil
@@ -369,5 +369,5 @@ func (s *Server) tenantCounter(base, tenant string) *obs.Counter {
 	if r == nil || tenant == "" {
 		return nil
 	}
-	return r.Counter(obs.Labeled(base, obs.L("board", s.opts.Board), obs.L("tenant", tenant)))
+	return r.Counter(obs.Labeled(base, obs.L("board", s.opts.Name), obs.L("tenant", tenant)))
 }

@@ -37,7 +37,7 @@ func TestDeriveClassFractionalSLOs(t *testing.T) {
 // rejection must be booked per class in the report.
 func TestSubmitErrQueueFullTyped(t *testing.T) {
 	s := setup(t)
-	srv, err := New(Options{Models: s.Models, QueueLimit: 2})
+	srv, err := New(Options{Models: s.Models, BoardConfig: BoardConfig{QueueLimit: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

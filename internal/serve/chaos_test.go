@@ -17,8 +17,8 @@ import (
 func chaosDrain(t *testing.T, s *fixture.Setup, cfg *fault.Config, n int,
 	mode core.DegradeMode) *Result {
 	t.Helper()
-	srv, err := New(Options{Models: s.Models, GPUSlots: 2,
-		Faults: cfg, Observer: obs.New()})
+	srv, err := New(Options{Models: s.Models,
+		BoardConfig: BoardConfig{GPUSlots: 2, Faults: cfg}, Observer: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestChaosAccuracyDegradesMonotonically(t *testing.T) {
 		if rate > 0 {
 			cfg = &fault.Config{Seed: 5, ExtractFailRate: rate}
 		}
-		srv, err := New(Options{Models: s.Models, Faults: cfg})
+		srv, err := New(Options{Models: s.Models, BoardConfig: BoardConfig{Faults: cfg}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,8 +280,8 @@ func TestChaosStallQuarantine(t *testing.T) {
 	// anchored at its current frame) makes no frame progress until
 	// StallRounds rounds have burned, then is retired with the stall
 	// reason rather than the panic one.
-	srv, err := New(Options{Models: s.Models, RetryLimit: 10, StallRounds: 3,
-		Observer: obs.New()})
+	srv, err := New(Options{Models: s.Models,
+		BoardConfig: BoardConfig{RetryLimit: 10, StallRounds: 3}, Observer: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,7 +176,7 @@ func TestDetachRacesPreemptionAtBarrier(t *testing.T) {
 	for i := 0; i < 8 && (detachWon == 0 || preemptWon == 0); i++ {
 		srv, err := New(Options{
 			Models: s.Models, Admission: AdmissionWFQ, Preempt: true,
-			PreemptLimit: -1, GPUSlots: 1, MaxOccupancy: 1,
+			PreemptLimit: -1, BoardConfig: BoardConfig{GPUSlots: 1, MaxOccupancy: 1},
 			ClassWeights: map[string]int{"gold": 4, "besteffort": 1},
 		})
 		if err != nil {

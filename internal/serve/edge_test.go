@@ -57,7 +57,7 @@ func TestContentionTraceExhaustedMidRun(t *testing.T) {
 	// floor must hold the trace's last level, not collapse to zero.
 	const held = 0.6
 	run := func(trace []float64, floor float64) *StreamResult {
-		srv, err := New(Options{Models: s.Models, Coupling: -1})
+		srv, err := New(Options{Models: s.Models, BoardConfig: BoardConfig{Coupling: -1}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -124,7 +124,7 @@ func TestDefaultSeedsAreDistinctPerStream(t *testing.T) {
 
 func TestNegativeCouplingMeansUncoupled(t *testing.T) {
 	s := setup(t)
-	srv, err := New(Options{Models: s.Models, Coupling: -1})
+	srv, err := New(Options{Models: s.Models, BoardConfig: BoardConfig{Coupling: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestNegativeCouplingMeansUncoupled(t *testing.T) {
 
 func TestRejectedSubmissionDoesNotClone(t *testing.T) {
 	s := setup(t)
-	srv, err := New(Options{Models: s.Models, QueueLimit: 1})
+	srv, err := New(Options{Models: s.Models, BoardConfig: BoardConfig{QueueLimit: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +205,8 @@ func observedRun(t *testing.T, opts Options, n int) (*Result, []byte) {
 
 func TestTraceByteIdenticalAcrossRuns(t *testing.T) {
 	s := setup(t)
-	r1, trace1 := observedRun(t, Options{Models: s.Models, GPUSlots: 2}, 4)
-	_, trace2 := observedRun(t, Options{Models: s.Models, GPUSlots: 2}, 4)
+	r1, trace1 := observedRun(t, Options{Models: s.Models, BoardConfig: BoardConfig{GPUSlots: 2}}, 4)
+	_, trace2 := observedRun(t, Options{Models: s.Models, BoardConfig: BoardConfig{GPUSlots: 2}}, 4)
 	if len(trace1) == 0 {
 		t.Fatal("observed run wrote an empty trace")
 	}
@@ -257,9 +257,9 @@ func TestTraceByteIdenticalAcrossRuns(t *testing.T) {
 
 func TestObserverDoesNotChangeDecisions(t *testing.T) {
 	s := setup(t)
-	observed, _ := observedRun(t, Options{Models: s.Models, GPUSlots: 2}, 4)
+	observed, _ := observedRun(t, Options{Models: s.Models, BoardConfig: BoardConfig{GPUSlots: 2}}, 4)
 
-	srv, err := New(Options{Models: s.Models, GPUSlots: 2})
+	srv, err := New(Options{Models: s.Models, BoardConfig: BoardConfig{GPUSlots: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"litereconfig/internal/adapt"
+	"litereconfig/internal/core"
 	"litereconfig/internal/fault"
 	"litereconfig/internal/obs"
 	"litereconfig/internal/sched"
@@ -60,17 +61,18 @@ const (
 	// DefaultPreemptLimit is how many evictions a stream absorbs before
 	// a further preemption retires it with partial results.
 	DefaultPreemptLimit = 3
-	// DefaultSafetyFactor shrinks a stream's SLO to the planning budget
-	// used for barrier-time feasibility scoring, matching the stream
-	// scheduler's own headroom.
-	DefaultSafetyFactor = 0.88
 )
 
-// Options configures a Server.
-type Options struct {
-	// Models is the trained scheduler bundle. Each stream receives its
-	// own deep clone (the prediction networks are not concurrency-safe).
-	Models *sched.Models
+// BoardConfig is one board's hardware and engine settings: what a
+// standalone server is given directly and a fleet sets per board. Zero
+// fields take the defaults.
+type BoardConfig struct {
+	// Name labels this server as one board of a fleet: engine metrics
+	// and per-stream gauges gain a board="<name>" label, and reports name
+	// the board that retired each stream. Empty for a standalone server
+	// (no label is emitted); a fleet names an unnamed board
+	// "board-<index>".
+	Name string
 	// Device is the simulated board shared by all streams. Default TX2.
 	Device simlat.Device
 	// GPUSlots bounds the worker pool: at most this many streams execute
@@ -90,16 +92,6 @@ type Options struct {
 	QueueLimit int
 	// RoundMS is the simulated length of one board round. Default 200.
 	RoundMS float64
-	// Board labels this server as one board of a fleet: engine metrics
-	// and per-stream gauges gain a board="<name>" label, and reports name
-	// the board that retired each stream. Empty for a standalone server
-	// (no label is emitted).
-	Board string
-	// Faults is the default rate-driven fault schedule applied to every
-	// stream (override per stream with StreamConfig.Faults or FaultPlan).
-	// Each stream's injector mixes in its own seed, so schedules stay
-	// decorrelated across streams.
-	Faults *fault.Config
 	// RetryLimit is how many recovered worker panics one stream may
 	// accumulate before quarantine; a panicked round below the limit is
 	// simply retried (one-shot faults do not re-fire). Zero means the
@@ -108,6 +100,21 @@ type Options struct {
 	// StallRounds quarantines a stream after this many consecutive
 	// rounds with zero frame progress. Zero means the default (10).
 	StallRounds int
+	// Faults is the board's default rate-driven fault schedule, applied
+	// to every stream it serves (override per stream with
+	// StreamConfig.Faults or FaultPlan). Each stream's injector mixes in
+	// its own seed, so schedules stay decorrelated across streams. A
+	// stream migrated to another board sheds this board's faults and
+	// inherits the destination's.
+	Faults *fault.Config
+}
+
+// Options configures a Server.
+type Options struct {
+	// Models is the trained scheduler bundle. Each stream receives its
+	// own deep clone (the prediction networks are not concurrency-safe).
+	Models *sched.Models
+	BoardConfig
 	// Observer is the opt-in observability sink: scheduler decision
 	// traces at every GoF boundary plus engine metrics (per-round
 	// occupancy, queue depth, admissions, rejections, per-stream coupled
@@ -135,7 +142,7 @@ type Options struct {
 	// default (3), negative means retire on the first preemption.
 	PreemptLimit int
 	// SafetyFactor shrinks SLOs to planning budgets for feasibility
-	// scoring. Zero means the default (0.88).
+	// scoring. Zero means core.DefaultSafetyFactor.
 	SafetyFactor float64
 	// Adapt enables online model adaptation for every served stream:
 	// each stream's scheduler shadows its decisions, refits a challenger
@@ -197,7 +204,7 @@ func (o Options) withDefaults() Options {
 		o.PreemptLimit = 0 // negative = retire on first preemption
 	}
 	if o.SafetyFactor <= 0 {
-		o.SafetyFactor = DefaultSafetyFactor
+		o.SafetyFactor = core.DefaultSafetyFactor
 	}
 	return o
 }
@@ -289,9 +296,9 @@ func New(opts Options) (*Server, error) {
 	if r := opts.Observer.Registry(); r != nil {
 		// Board-labeled names: on a fleet every board shares one registry,
 		// so engine series carry board="<name>"; standalone servers (empty
-		// Board) keep the bare names.
+		// Name) keep the bare names.
 		name := func(base string) string {
-			return obs.Labeled(base, obs.L("board", opts.Board))
+			return obs.Labeled(base, obs.L("board", opts.Name))
 		}
 		s.met.admissions = r.Counter(name("serve_admissions_total"))
 		s.met.rejections = r.Counter(name("serve_rejections_total"))

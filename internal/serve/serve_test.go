@@ -51,7 +51,7 @@ func TestNewValidation(t *testing.T) {
 // drains the board.
 func run8(t *testing.T, s *fixture.Setup, n int) *Result {
 	t.Helper()
-	srv, err := New(Options{Models: s.Models, GPUSlots: 2})
+	srv, err := New(Options{Models: s.Models, BoardConfig: BoardConfig{GPUSlots: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestAdmissionQueuesOverThreshold(t *testing.T) {
 	s := setup(t)
 	// Threshold of 0.6 with estimates of 0.5: only one stream fits at a
 	// time, so later streams must wait in the queue.
-	srv, err := New(Options{Models: s.Models, GPUSlots: 2, MaxOccupancy: 0.6})
+	srv, err := New(Options{Models: s.Models, BoardConfig: BoardConfig{GPUSlots: 2, MaxOccupancy: 0.6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestAdmissionQueuesOverThreshold(t *testing.T) {
 
 func TestBackpressureRejectsWhenQueueFull(t *testing.T) {
 	s := setup(t)
-	srv, err := New(Options{Models: s.Models, QueueLimit: 2})
+	srv, err := New(Options{Models: s.Models, BoardConfig: BoardConfig{QueueLimit: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,8 +203,8 @@ func (s *Server) buildStreamWith(id int, cfg StreamConfig, warm *sched.Models, g
 	if ac := s.opts.Adapt; ac != nil {
 		acfg := *ac
 		acfg.Label = fmt.Sprintf("s%d", id)
-		if s.opts.Board != "" {
-			acfg.Label = s.opts.Board + "/" + acfg.Label
+		if s.opts.Name != "" {
+			acfg.Label = s.opts.Name + "/" + acfg.Label
 		}
 		acfg.Registry = s.adaptReg
 		acfg.Gate = s.adaptGate
@@ -280,9 +280,9 @@ func (st *stream) bindBoard() {
 	st.stepper.SetGenerator(fault.WrapContention(cg, st.stepper.Injector()))
 	if r := s.opts.Observer.Registry(); r != nil {
 		st.contGauge = r.Gauge(obs.Labeled("serve_stream_contention",
-			obs.L("stream", st.cfg.Name), obs.L("board", s.opts.Board)))
+			obs.L("stream", st.cfg.Name), obs.L("board", s.opts.Name)))
 		st.occGauge = r.Gauge(obs.Labeled("serve_stream_occupancy",
-			obs.L("stream", st.cfg.Name), obs.L("board", s.opts.Board)))
+			obs.L("stream", st.cfg.Name), obs.L("board", s.opts.Name)))
 	} else {
 		st.contGauge, st.occGauge = nil, nil
 	}
@@ -347,7 +347,7 @@ func (st *stream) exportFaultCounts() {
 	for class, n := range inj.Counts() {
 		if d := n - st.exported[class]; d > 0 {
 			r.Counter(obs.Labeled("fault_fired_total",
-				obs.L("class", class), obs.L("board", st.srv.opts.Board))).Add(float64(d))
+				obs.L("class", class), obs.L("board", st.srv.opts.Name))).Add(float64(d))
 			st.exported[class] = n
 		}
 	}
@@ -419,7 +419,7 @@ func (st *stream) finalize(dev simlat.Device) {
 		Class:            st.className(),
 		Tenant:           st.cfg.Tenant,
 		SLO:              st.cfg.SLO,
-		Board:            st.srv.opts.Board,
+		Board:            st.srv.opts.Name,
 		Migrations:       st.migrations,
 		Preemptions:      st.preemptions,
 		PreemptRetired:   st.preemptRetired,

@@ -5,7 +5,6 @@ import (
 
 	"litereconfig/internal/core"
 	"litereconfig/internal/serve"
-	"litereconfig/internal/simlat"
 )
 
 // ServerConfig configures a multi-stream serving engine.
@@ -70,26 +69,26 @@ func NewServer(models *Models, cfg ServerConfig) (*Server, error) {
 	if models == nil {
 		return nil, fmt.Errorf("litereconfig: models are required")
 	}
-	opts := serve.Options{
-		Models:       models.m,
+	bc, err := BoardSpec{
+		Device:       cfg.Device,
 		GPUSlots:     cfg.GPUSlots,
 		MaxOccupancy: cfg.MaxOccupancy,
 		Coupling:     cfg.Coupling,
 		QueueLimit:   cfg.QueueLimit,
 		RoundMS:      cfg.RoundMS,
-		Faults:       cfg.Faults.inner(),
 		RetryLimit:   cfg.RetryLimit,
 		StallRounds:  cfg.StallRounds,
-		Observer:     cfg.Observer.inner(),
-		Adapt:        cfg.Adapt.inner(),
-		ReplayTrace:  cfg.ReplayTrace,
+		Faults:       cfg.Faults,
+	}.inner()
+	if err != nil {
+		return nil, fmt.Errorf("litereconfig: %w", err)
 	}
-	if cfg.Device != "" {
-		dev, ok := simlat.DeviceByName(string(cfg.Device))
-		if !ok {
-			return nil, fmt.Errorf("litereconfig: unknown device %q", cfg.Device)
-		}
-		opts.Device = dev
+	opts := serve.Options{
+		Models:      models.m,
+		BoardConfig: bc,
+		Observer:    cfg.Observer.inner(),
+		Adapt:       cfg.Adapt.inner(),
+		ReplayTrace: cfg.ReplayTrace,
 	}
 	srv, err := serve.New(opts)
 	if err != nil {
@@ -330,17 +329,13 @@ func streamReport(r *serve.StreamResult) StreamReport {
 	return rep
 }
 
-// corePolicy maps the public Policy to the scheduler variant.
+// corePolicy maps the public Policy to the scheduler variant. Only the
+// exported Policy constants (and the empty default) are accepted.
 func corePolicy(p Policy) (core.Policy, error) {
 	switch p {
-	case "", Full:
-		return core.PolicyFull, nil
-	case MinCost:
-		return core.PolicyMinCost, nil
-	case MaxContentResNet:
-		return core.PolicyMaxContentResNet, nil
-	case MaxContentMobileNet:
-		return core.PolicyMaxContentMobileNet, nil
+	case "", Full, MinCost, MaxContentResNet, MaxContentMobileNet:
+		cp, _, err := core.ParsePolicy(string(p))
+		return cp, err
 	}
 	return 0, fmt.Errorf("litereconfig: unknown policy %q", p)
 }
