@@ -20,7 +20,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"litereconfig/internal/adapt"
 	"litereconfig/internal/fault"
@@ -78,9 +78,8 @@ const (
 
 // MaxDegradeLevel is the watchdog ladder's floor: at this level the
 // scheduler gives up on feasibility reasoning entirely and runs the
-// absolute cheapest branch until GoFs come back under budget. Exported
-// so the counterfactual replay engine (internal/replay) mirrors the
-// ladder semantics exactly.
+// absolute cheapest branch until GoFs come back under budget
+// (Plan.Optimize; WatchdogStep never moves past it).
 const MaxDegradeLevel = 2
 
 // String implements fmt.Stringer.
@@ -262,19 +261,12 @@ type Scheduler struct {
 	// adapter copies the light vector it keeps, the observer renders
 	// feature kinds to strings) — and a Scheduler only ever runs one
 	// decision at a time.
-	heavyKinds   []feat.Kind // cached feat.HeavyKinds()
+	plan         Plan // the decision's tables, which own their buffers
 	scrLight     []float64
-	scrAccLight  []float64
-	scrKernelMS  []float64
-	scrAcc       []float64
+	scrSwitch    []float64 // C(b0, b), also recorded for replay
 	scrHeavy     map[feat.Kind][]float64
-	scrSet       []feat.Kind
-	scrRemaining []feat.Kind
-	scrCand      []feat.Kind
 	scrExtracted []feat.Kind
 	scrFailed    []feat.Kind
-	scrRiskF     []float64 // per-branch quantile inflation factors
-	scrFailP     []float64 // per-branch tracker-failure probabilities
 
 	// riskZ is the cached normal z-score of Options.RiskQuantile, so
 	// the per-decision risk path never touches the inverse CDF.
@@ -317,7 +309,6 @@ func New(opts Options) (*Scheduler, error) {
 		sensor:     NewContentionSensorAlpha(opts.SensorAlpha),
 		featureUse: map[feat.Kind]int{},
 		adapter:    opts.Adapter,
-		heavyKinds: feat.HeavyKinds(),
 		scrHeavy:   map[feat.Kind][]float64{},
 	}
 	if s.adapter == nil && opts.Adapt != nil {
@@ -464,22 +455,16 @@ func (s *Scheduler) ObserveGoF(frames int, avgMS float64) {
 	heavy := s.lastHeavy
 	s.lastHeavy = false
 	s.ensureBreaker()
-	if avgMS > s.opts.SLO {
+	overrun := avgMS > s.opts.SLO
+	s.degradeLevel = WatchdogStep(s.degradeLevel, overrun)
+	if overrun {
 		s.overruns++
 		s.wdCtr.Inc()
-		if s.degradeLevel < MaxDegradeLevel {
-			s.degradeLevel++
-		}
 		if heavy {
 			s.breakerBad()
 		}
-	} else {
-		if s.degradeLevel > 0 {
-			s.degradeLevel--
-		}
-		if heavy {
-			s.brk.recordGood()
-		}
+	} else if heavy {
+		s.brk.recordGood()
 	}
 }
 
@@ -573,26 +558,25 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		s.drift.Observe(actual, base)
 	}
 
-	// Step 1: light features and the models that ride on them.
+	// Step 1: light features and the models that ride on them, written
+	// straight into this decision's tables.
+	plan := &s.plan
+	n := len(s.models.Branches)
 	lightSpec := feat.SpecOf(feat.Light)
 	clock.Charge(CompScheduler, lightSpec.ExtractClass, lightSpec.ExtractMS)
 	s.scrLight = feat.LightVectorInto(s.scrLight, v, f)
 	light := s.scrLight
 	clock.Charge(CompScheduler, lightSpec.PredictClass, lightSpec.PredictMS)
-	s.scrAccLight = s.models.PredictAccuracyLightInto(s.scrAccLight, light)
-	accLight := s.scrAccLight
+	plan.AccLight = s.models.PredictAccuracyLightInto(plan.AccLight, light)
 
 	// Per-branch kernel latency estimate under the current device and
 	// contention level: detector share scales with GPU contention, the
 	// tracker share does not (Eq. 2's L0(b, f_L)).
-	if cap(s.scrKernelMS) < len(s.models.Branches) {
-		s.scrKernelMS = make([]float64, len(s.models.Branches))
-	}
-	kernelMS := s.scrKernelMS[:len(s.models.Branches)]
+	plan.KernelMS = slices.Grow(plan.KernelMS[:0], n)[:n]
 	cpuAdj := s.models.CPUAdjFactor()
 	for bi := range s.models.Branches {
 		det, trk := s.models.PredictLatency(bi, light)
-		kernelMS[bi] = s.estimate(clock, simlat.GPU, det) +
+		plan.KernelMS[bi] = s.estimate(clock, simlat.GPU, det) +
 			s.estimate(clock, simlat.CPU, trk)*cpuAdj +
 			s.models.LatencyBiasMS(bi)
 	}
@@ -603,23 +587,15 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 
 	// Risk tables for probabilistic admission. The quantile factor lifts
 	// each branch's kernel estimate to its q-quantile under the
-	// lognormal residual model — the margin scales multiplicatively, so
-	// a contention-inflated estimate gets a contention-inflated margin.
-	// The feature-selection analyzer below stays risk-blind: it
-	// estimates benefit, not admission; only the constrained
-	// optimization admits branches.
+	// lognormal residual model. The feature-selection analyzer stays
+	// risk-blind: only the constrained optimization admits branches.
 	riskOn := s.opts.RiskQuantile > 0
-	var riskF, failP []float64
 	if riskOn {
-		if cap(s.scrRiskF) < len(s.models.Branches) {
-			s.scrRiskF = make([]float64, len(s.models.Branches))
-			s.scrFailP = make([]float64, len(s.models.Branches))
-		}
-		riskF = s.scrRiskF[:len(s.models.Branches)]
-		failP = s.scrFailP[:len(s.models.Branches)]
+		plan.RiskFactor = slices.Grow(plan.RiskFactor[:0], n)[:n]
+		plan.FailProb = slices.Grow(plan.FailProb[:0], n)[:n]
 		for bi := range s.models.Branches {
-			riskF[bi] = s.models.QuantileFactor(bi, s.riskZ)
-			failP[bi] = s.models.PredictFailProb(bi, light)
+			plan.RiskFactor[bi] = s.models.QuantileFactor(bi, s.riskZ)
+			plan.FailProb[bi] = s.models.PredictFailProb(bi, light)
 		}
 	}
 
@@ -639,31 +615,37 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		}
 	}
 
-	// Step 2: decide the heavy feature set.
-	var selected []feat.Kind
-	benefit := 0.0
-	manageOverhead := true
-	switch s.opts.Policy {
-	case PolicyMinCost:
-		// No heavy features.
-	case PolicyMaxContentResNet:
-		selected = []feat.Kind{feat.ResNet50}
-		manageOverhead = false
-	case PolicyMaxContentMobileNet:
-		selected = []feat.Kind{feat.MobileNetV2}
-		manageOverhead = false
-	case PolicyForceFeature:
-		selected = []feat.Kind{s.opts.ForcedFeature}
-		manageOverhead = false
-	case PolicyFull:
-		if degradeLevel > 0 || brkState == breakerOpen {
-			// Light-features-only mode: the watchdog is shedding load, or
-			// the breaker has disconnected the heavy path (Table 1's cost
-			// asymmetry — heavy features are the expendable budget item).
-			break
+	// Step 2: decide the heavy feature set over this decision's tables.
+	d := s.opts.Observer.Pending()
+	recordReplay := d != nil && s.opts.ReplayTrace
+	cur := k.Branch()
+	hasCur := k.HasBranch()
+	plan.Variant = VariantOf(s.opts.Policy, s.opts.ForcedFeature, degradeLevel, brkState == breakerOpen)
+	plan.Branches, plan.Ben = s.models.Branches, s.models.Ben
+	plan.SLOMS, plan.SafetyFactor, plan.BudgetMS = s.opts.SLO, s.opts.SafetyFactor, budget
+	plan.CostWeight, plan.S0MS = s.opts.CostWeight, s0
+	// The switching-cost table C(b0, b) and the heavy-feature prices are
+	// each estimated once per decision, and only where they are read:
+	// switch costs by the overhead-managing variants and the replay
+	// payload, every feature price by the analyzer and the replay
+	// payload (the observer otherwise prices just the selected set).
+	var switchMS []float64
+	if hasCur && ((plan.Variant.ManageOverhead && !s.opts.DisableSwitchCost) || recordReplay) {
+		s.scrSwitch = slices.Grow(s.scrSwitch[:0], n)[:n]
+		switchMS = s.scrSwitch
+		for bi, b := range s.models.Branches {
+			switchMS[bi] = s.switchCostMS(cur, b)
 		}
-		selected, benefit = s.selectFeatures(k, clock, accLight, kernelMS, budget, s0)
 	}
+	plan.SwitchMS = switchMS
+	if s.opts.DisableSwitchCost {
+		plan.SwitchMS = nil
+	}
+	pricedAll := plan.Variant.Analyze || recordReplay
+	if pricedAll {
+		s.priceFeatures(clock, heavyKinds)
+	}
+	selected, benefit := plan.Features()
 	for _, kind := range selected {
 		s.featureUse[kind]++
 		s.featureCtr[kind].Inc()
@@ -704,140 +686,59 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		}
 		s.lastHeavy = len(extracted) > 0
 	}
-	s.scrAcc = s.models.PredictAccuracySetInto(s.scrAcc, extracted, light, heavy)
-	acc := s.scrAcc
+	plan.Acc = s.models.PredictAccuracySetInto(plan.Acc, extracted, light, heavy)
 
 	// Step 4: constrained optimization (Eq. 3). The per-invocation costs
 	// (scheduler so far + switching) amortize over the candidate branch's
 	// GoF, since the scheduler re-evaluates once per GoF (Sec. 3.5).
-	schedSpent := sect.Elapsed()
-	cur := k.Branch()
-	hasCur := k.HasBranch()
-	// perFrame prices branch bi for the constraint check: kernel estimate
-	// plus, under managed overhead, the amortized scheduler and switching
-	// cost.
-	perFrame := func(bi int) float64 {
-		b := s.models.Branches[bi]
-		p := kernelMS[bi]
-		if manageOverhead {
-			over := schedSpent
-			if hasCur && !s.opts.DisableSwitchCost {
-				over += s.switchCostMS(cur, b)
-			}
-			p += over / float64(b.GoF)
-		}
-		return p
-	}
-	// riskMargin is the extra per-frame milliseconds the q-quantile adds
-	// over the mean for branch bi (0 under legacy mean admission).
-	riskMargin := func(bi int) float64 {
-		if !riskOn {
-			return 0
-		}
-		return kernelMS[bi] * (riskF[bi] - 1)
-	}
-	bestIdx := -1
-	bestScore := math.Inf(-1)
-	feasible := 0
-	if degradeLevel > 0 {
-		// Watchdog ladder: stop maximizing accuracy and shed latency.
-		// One rung down picks the *cheapest* SLO-feasible branch; at the
-		// ladder floor, feasibility reasoning itself is distrusted (the
-		// predictions just missed) and the absolute cheapest branch runs.
-		bestLat := math.Inf(1)
-		for bi := range s.models.Branches {
-			pf := perFrame(bi) + riskMargin(bi)
-			if pf > budget {
-				continue
-			}
-			feasible++
-			if degradeLevel < MaxDegradeLevel && pf < bestLat {
-				bestLat = pf
-				bestIdx = bi
-			}
-		}
-		if degradeLevel >= MaxDegradeLevel {
-			bestIdx = 0
-			for bi := range kernelMS {
-				if kernelMS[bi] < kernelMS[bestIdx] {
-					bestIdx = bi
-				}
-			}
-		}
-	} else {
+	plan.SchedSpentMS = sect.Elapsed()
+	plan.Hysteresis, plan.Cur, plan.Degrade = s.opts.Hysteresis, -1, degradeLevel
+	if hasCur {
 		for bi, b := range s.models.Branches {
-			if perFrame(bi)+riskMargin(bi) > budget {
-				continue
-			}
-			feasible++
-			score := acc[bi]
-			if riskOn {
-				// Discount by the tracker-failure probability: the argmax
-				// maximizes accuracy *conditional on the branch surviving
-				// its GoF*.
-				score *= 1 - failP[bi]
-			}
-			if hasCur && b == cur && s.opts.Hysteresis > 0 && s.opts.Policy == PolicyFull {
-				score += s.opts.Hysteresis
-			}
-			if score > bestScore {
-				bestScore = score
-				bestIdx = bi
+			if b == cur {
+				plan.Cur = bi
+				break
 			}
 		}
 	}
-	fallback := bestIdx < 0
+	bestIdx, feasible, fallback, predMS := plan.Optimize()
 	if fallback {
-		// Nothing fits: fall back to the cheapest branch by predicted
-		// latency, degrading accuracy rather than stalling.
 		s.fallbackCtr.Inc()
-		bestIdx = 0
-		for bi := range kernelMS {
-			if kernelMS[bi] < kernelMS[bestIdx] {
-				bestIdx = bi
-			}
-		}
 	}
 
-	predMS := perFrame(bestIdx)
 	if s.adapter != nil {
 		// Record the decision's context for the residual collector: the
 		// chosen branch, the light features its latency came from, and
 		// the scale factors that turn base costs into realized
 		// milliseconds, so the refit can normalize them back out. The
 		// adapter also shadow-prices the challenger here (predict-only).
-		over := 0.0
-		if manageOverhead {
-			over = schedSpent
-			if hasCur && !s.opts.DisableSwitchCost {
-				over += s.switchCostMS(cur, s.models.Branches[bestIdx])
-			}
-			over /= float64(s.models.Branches[bestIdx].GoF)
-		}
 		s.adapter.Begin(adapt.Sample{
 			Branch:     bestIdx,
 			Light:      light,
 			GPUScale:   s.estimate(clock, simlat.GPU, 1),
 			CPUScale:   s.estimate(clock, simlat.CPU, 1),
-			OverheadMS: over,
+			OverheadMS: plan.overheadMS(bestIdx),
 			PredMS:     predMS,
-			PredAcc:    acc[bestIdx],
+			PredAcc:    plan.Acc[bestIdx],
 		})
 	}
 
-	if d := s.opts.Observer.Pending(); d != nil {
+	if d != nil {
 		d.Policy = s.Name()
 		if s.opts.OracleContention {
 			d.Contention = clock.Contention()
 		} else {
 			d.Contention = s.sensor.Level()
 		}
+		if !pricedAll {
+			s.priceFeatures(clock, selected)
+		}
 		for _, kind := range selected {
 			d.Features = append(d.Features, kind.String())
-			d.FeatureCostMS += s.featureCost(clock, kind)
+			d.FeatureCostMS += plan.FeatMS[kind]
 		}
 		d.BenefitMAP = benefit
-		d.PredAccuracy = acc[bestIdx]
+		d.PredAccuracy = plan.Acc[bestIdx]
 		d.PredLatencyMS = predMS
 		d.FeasibleBranches = feasible
 		if s.adapter != nil {
@@ -851,8 +752,8 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		d.Degrade = degradeLevel
 		if riskOn {
 			d.RiskQ = s.opts.RiskQuantile
-			d.PredP95MS = predMS + riskMargin(bestIdx)
-			d.FailProb = failP[bestIdx]
+			d.PredP95MS = predMS + plan.riskMargin(bestIdx)
+			d.FailProb = plan.FailProb[bestIdx]
 		}
 		if brkState != breakerClosed {
 			d.Breaker = brkState.String()
@@ -860,7 +761,7 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		for _, kind := range failed {
 			d.FailedFeatures = append(d.FailedFeatures, kind.String())
 		}
-		if s.opts.ReplayTrace {
+		if recordReplay {
 			// Capture the decision's full input set for counterfactual
 			// replay. Everything is copied — the scratch slices above are
 			// reused by the next Decide — and every read is passive, so
@@ -872,47 +773,44 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 				Hysteresis:        s.opts.Hysteresis,
 				CostWeight:        s.opts.CostWeight,
 				S0MS:              s0,
-				SchedSpentMS:      schedSpent,
-				ManageOverhead:    manageOverhead,
+				SchedSpentMS:      plan.SchedSpentMS,
+				ManageOverhead:    plan.Variant.ManageOverhead,
 				DisableSwitchCost: s.opts.DisableSwitchCost,
 				HasCur:            hasCur,
 				GPUScale:          s.estimate(clock, simlat.GPU, 1),
 				CPUScale:          s.estimate(clock, simlat.CPU, 1),
 				CPUAdj:            cpuAdj,
-				NumBranches:       len(s.models.Branches),
+				NumBranches:       n,
 				Light:             append([]float64(nil), light...),
-				AccLight:          append([]float64(nil), accLight...),
-				KernelMS:          append([]float64(nil), kernelMS...),
+				AccLight:          append([]float64(nil), plan.AccLight...),
+				KernelMS:          append([]float64(nil), plan.KernelMS...),
 			}
 			if hasCur {
 				rp.CurBranch = cur.String()
-				rp.SwitchMS = make([]float64, len(s.models.Branches))
-				for bi, b := range s.models.Branches {
-					rp.SwitchMS[bi] = s.switchCostMS(cur, b)
-				}
+				rp.SwitchMS = append([]float64(nil), switchMS...)
 			}
 			if len(extracted) > 0 {
-				rp.Acc = append([]float64(nil), acc...)
+				rp.Acc = append([]float64(nil), plan.Acc...)
 				rp.Heavy = make(map[string][]float64, len(extracted))
 				for _, kind := range extracted {
 					rp.Heavy[kind.String()] = append([]float64(nil), heavy[kind]...)
 				}
 			}
-			rp.FeatCostMS = make(map[string]float64, len(s.heavyKinds))
-			for _, kind := range s.heavyKinds {
-				rp.FeatCostMS[kind.String()] = s.featureCost(clock, kind)
+			rp.FeatCostMS = make(map[string]float64, len(heavyKinds))
+			for _, kind := range heavyKinds {
+				rp.FeatCostMS[kind.String()] = plan.FeatMS[kind]
 			}
 			if riskOn {
 				// Risk-admitted corpora are versioned (PolicyRev 1) and
 				// carry the exact per-branch inflation factors and failure
 				// probabilities the admission used, so identity replay
-				// mirrors the risk procedure without re-deriving variance
+				// re-runs the risk procedure without re-deriving variance
 				// state, and legacy corpora (PolicyRev 0, fields absent)
 				// keep replaying under mean admission bit-exactly.
 				rp.PolicyRev = 1
 				rp.RiskQ = s.opts.RiskQuantile
-				rp.RiskFactor = append([]float64(nil), riskF...)
-				rp.FailProb = append([]float64(nil), failP...)
+				rp.RiskFactor = append([]float64(nil), plan.RiskFactor...)
+				rp.FailProb = append([]float64(nil), plan.FailProb...)
 			}
 			d.Replay = rp
 		}
@@ -935,106 +833,9 @@ func (s *Scheduler) featureCost(clock *simlat.Clock, kind feat.Kind) float64 {
 		s.estimate(clock, spec.PredictClass, spec.PredictMS)
 }
 
-// selectFeatures is the cost-benefit analyzer (Sec. 3.4): the nested
-// greedy optimization that adds heavy features one at a time as long as
-// the benefit-table gain survives the shrinking kernel budget. It never
-// extracts a heavy feature — costs come from the Spec table and benefits
-// from the offline Ben table. The second return value is the analyzer's
-// verdict: the net objective gain (predicted mAP, cost-priced) of the
-// selected set over scheduling with light features only — zero when the
-// set is empty.
-func (s *Scheduler) selectFeatures(k *mbek.Kernel, clock *simlat.Clock,
-	accLight, kernelMS []float64, budget, s0 float64) ([]feat.Kind, float64) {
-
-	cur := k.Branch()
-	hasCur := k.HasBranch()
-
-	// value returns the objective of Eq. 3.4 for a candidate feature set:
-	// the best feasible content-agnostic accuracy plus the set's tabled
-	// benefit minus the accuracy-equivalent price of the scheduler
-	// latency it spends, or -Inf when no branch fits.
-	value := func(set []feat.Kind) float64 {
-		var featCost float64
-		for _, kind := range set {
-			featCost += s.featureCost(clock, kind)
-		}
-		best := math.Inf(-1)
-		kernelBudget := 0.0
-		bestGoF := 1.0
-		for bi, b := range s.models.Branches {
-			over := s0 + featCost
-			if hasCur && !s.opts.DisableSwitchCost {
-				over += s.switchCostMS(cur, b)
-			}
-			perFrame := kernelMS[bi] + over/float64(b.GoF)
-			if perFrame > budget {
-				continue
-			}
-			if accLight[bi] > best {
-				best = accLight[bi]
-				bestGoF = float64(b.GoF)
-			}
-			if kb := budget - over/float64(b.GoF); kb > kernelBudget {
-				kernelBudget = kb
-			}
-		}
-		if math.IsInf(best, -1) {
-			return best
-		}
-		// The Ben table was built on true measured kernel latencies; the
-		// online budget carries the planning safety factor, so divide it
-		// out to query on the same scale.
-		v := best + s.models.Ben.SetBenefit(set, kernelBudget/s.opts.SafetyFactor)
-		if s.opts.CostWeight > 0 {
-			v -= s.opts.CostWeight * (featCost / bestGoF) / budget
-		}
-		return v
+// priceFeatures fills the plan's price table for the given kinds.
+func (s *Scheduler) priceFeatures(clock *simlat.Clock, kinds []feat.Kind) {
+	for _, kind := range kinds {
+		s.plan.FeatMS[kind] = s.featureCost(clock, kind)
 	}
-
-	// Tail-latency stall guard: feature extraction runs synchronously at
-	// the GoF boundary, so a feature whose one-shot cost dwarfs the SLO
-	// stalls several consecutive frames past the objective no matter how
-	// it amortizes — exactly why MaxContent-MobileNet violates the tight
-	// SLOs in Table 2. Candidates whose stall exceeds stallCap frames'
-	// worth of budget are excluded outright.
-	const stallFactor = 1.5
-	stallCap := stallFactor * s.opts.SLO
-
-	set := s.scrSet[:0]
-	curVal := value(set)
-	baseVal := curVal
-	remaining := s.scrRemaining[:0]
-	for _, k := range s.heavyKinds {
-		if s.featureCost(clock, k) <= stallCap {
-			remaining = append(remaining, k)
-		}
-	}
-	for len(remaining) > 0 {
-		bestIdx := -1
-		bestVal := curVal
-		for i, cand := range remaining {
-			// Evaluate set+cand through reusable scratch instead of an
-			// append-copy per candidate.
-			trial := append(s.scrCand[:0], set...)
-			trial = append(trial, cand)
-			s.scrCand = trial
-			v := value(trial)
-			if v > bestVal+1e-9 {
-				bestVal = v
-				bestIdx = i
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		set = append(set, remaining[bestIdx])
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		curVal = bestVal
-	}
-	s.scrSet, s.scrRemaining = set, remaining[:0]
-	gain := curVal - baseVal
-	if len(set) == 0 || math.IsInf(gain, 0) || math.IsNaN(gain) {
-		gain = 0
-	}
-	return set, gain
 }

@@ -139,9 +139,11 @@ type ReplayPayload struct {
 	// path plus any heavy extraction/prediction actually charged).
 	S0MS         float64 `json:"s0_ms"`
 	SchedSpentMS float64 `json:"sched_spent_ms"`
-	// ManageOverhead mirrors the policy's overhead regime: false for
-	// the greedy MaxContent/ForceFeature variants, which apply the SLO
-	// to the kernel only. DisableSwitchCost mirrors the C(b0,b)
+	// ManageOverhead records the overhead regime the decision planned
+	// under (core.Variant.ManageOverhead): false for the greedy
+	// MaxContent/ForceFeature variants, which apply the SLO to the
+	// kernel only. Replay plans under it unless a policy override
+	// replaces the variant. DisableSwitchCost records the C(b0,b)
 	// ablation knob.
 	ManageOverhead    bool `json:"manage_overhead,omitempty"`
 	DisableSwitchCost bool `json:"no_switch_cost,omitempty"`

@@ -2,7 +2,7 @@ package replay
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"strings"
 
 	"litereconfig/internal/core"
@@ -22,8 +22,22 @@ type Engine struct {
 	branchIdx  map[string]int
 	heavyKinds []feat.Kind
 
-	override    *variant
+	// policy and forced are the Config.Policy override (hasOverride).
+	policy      core.Policy
+	forced      feat.Kind
 	hasOverride bool
+	riskZ       float64 // z-score of a positive Config.RiskQuantile
+
+	// Per-decision scratch, reused across redecisions.
+	plan         core.Plan
+	scrAccLight  []float64
+	scrKernelMS  []float64
+	scrSwitch    []float64
+	scrAcc       []float64
+	scrRiskF     []float64
+	scrFailP     []float64
+	scrHeavy     map[feat.Kind][]float64
+	scrExtracted []feat.Kind
 }
 
 // New validates the configuration and builds an engine.
@@ -36,6 +50,7 @@ func New(cfg Config) (*Engine, error) {
 		models:     cfg.Models,
 		branchIdx:  make(map[string]int, len(cfg.Models.Branches)),
 		heavyKinds: feat.HeavyKinds(),
+		scrHeavy:   map[feat.Kind][]float64{},
 	}
 	for i, b := range cfg.Models.Branches {
 		e.branchIdx[b.String()] = i
@@ -49,14 +64,16 @@ func New(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("replay: policy override: %w", err)
 		}
-		e.override = &variant{policy: p, forced: k}
-		e.hasOverride = true
+		e.policy, e.forced, e.hasOverride = p, k, true
 	}
 	if cfg.SLOMS < 0 || cfg.SafetyFactor < 0 {
 		return nil, fmt.Errorf("replay: negative SLO or safety factor")
 	}
 	if cfg.RiskQuantile != nil && (*cfg.RiskQuantile < 0 || *cfg.RiskQuantile >= 1) {
 		return nil, fmt.Errorf("replay: RiskQuantile override must be in [0, 1), got %v", *cfg.RiskQuantile)
+	}
+	if cfg.RiskQuantile != nil && *cfg.RiskQuantile > 0 {
+		e.riskZ = glm.NormalQuantile(*cfg.RiskQuantile)
 	}
 	return e, nil
 }
@@ -241,10 +258,13 @@ func (e *Engine) replayChain(path string, ds []obs.Decision, res *Result,
 	return nil
 }
 
-// redecide mirrors core.Scheduler.Decide over one recorded decision's
-// captured inputs. Every arithmetic step reproduces the scheduler's
-// exact operation order, so with unchanged knobs the result is
-// bit-identical to the recording.
+// redecide re-takes one recorded decision. It fills a core.Plan from
+// the recorded inputs and the knob overrides and runs the scheduler's
+// own cost-benefit analyzer and Eq. 3 optimizer over it, so with
+// unchanged knobs the result is bit-identical to the recording. What
+// is replay's own: reading the payload, the overrides, mapping the
+// selection onto the recorded extraction environment, the fidelity
+// diff and the outcome estimate.
 func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, chainDiverged *bool) (Redecision, error) {
 	at := func() string {
 		return fmt.Sprintf("%s: stream %d gen %d seq %d", path, d.Stream, d.Gen, d.Seq)
@@ -263,6 +283,23 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 	if rp.SwitchMS != nil && len(rp.SwitchMS) != n {
 		return Redecision{}, fmt.Errorf("replay: %s: switch_ms table truncated (%d, want %d)", at(), len(rp.SwitchMS), n)
 	}
+	// Feature vectors feed the bundle's models, which index them by the
+	// widths they were trained on.
+	if want := e.models.FeatureDim(feat.Light); len(rp.Light) != want {
+		return Redecision{}, fmt.Errorf("replay: %s: light vector has %d dims, models expect %d", at(), len(rp.Light), want)
+	}
+	// The payload prices every heavy kind, as the analyzer saw them.
+	plan := &e.plan
+	for _, k := range e.heavyKinds {
+		if vec, ok := rp.Heavy[k.String()]; ok && len(vec) != e.models.FeatureDim(k) {
+			return Redecision{}, fmt.Errorf("replay: %s: %v vector has %d dims, models expect %d", at(), k, len(vec), e.models.FeatureDim(k))
+		}
+		c, ok := rp.FeatCostMS[k.String()]
+		if !ok {
+			return Redecision{}, fmt.Errorf("replay: %s: payload has no cost for feature %v", at(), k)
+		}
+		plan.FeatMS[k] = c
+	}
 
 	// Effective knobs: configured overrides, else as recorded.
 	slo := rp.SLOMS
@@ -273,7 +310,6 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 	if e.cfg.SafetyFactor > 0 {
 		safety = e.cfg.SafetyFactor
 	}
-	budget := slo * safety
 	hyst := rp.Hysteresis
 	if e.cfg.Hysteresis != nil {
 		hyst = *e.cfg.Hysteresis
@@ -288,18 +324,13 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 	}
 
 	// Variant: the override, else the recorded policy name.
-	var v variant
-	var manageOverhead bool
-	if e.hasOverride {
-		v = *e.override
-		manageOverhead = v.manageOverhead()
-	} else {
-		p, k, err := core.PolicyByName(d.Policy)
+	policy, forced := e.policy, e.forced
+	if !e.hasOverride {
+		var err error
+		policy, forced, err = core.PolicyByName(d.Policy)
 		if err != nil {
 			return Redecision{}, fmt.Errorf("replay: %w (%s)", err, at())
 		}
-		v = variant{policy: p, forced: k}
-		manageOverhead = rp.ManageOverhead
 	}
 
 	// Current-branch state: a recorded fresh kernel (no branch yet —
@@ -322,15 +353,6 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 	if !*chainDiverged || cur < 0 {
 		cur = recordedCur
 	}
-	// switchMS prices C(b0, b): the recorded per-branch costs (which
-	// include adapter-observed estimates) whenever the counterfactual
-	// sits on the recorded branch, the offline model otherwise.
-	switchMS := func(bi int) float64 {
-		if cur == recordedCur && rp.SwitchMS != nil {
-			return rp.SwitchMS[bi]
-		}
-		return mbek.SwitchCostMS(e.models.Branches[cur], e.models.Branches[bi])
-	}
 
 	// Degradation state for this decision.
 	degradeLevel := 0
@@ -346,74 +368,58 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 		brkOpen = d.Breaker == "open"
 	}
 
+	plan.Variant = core.VariantOf(policy, forced, degradeLevel, brkOpen)
+	if !e.hasOverride {
+		plan.Variant.ManageOverhead = rp.ManageOverhead
+	}
+	plan.Branches, plan.Ben = e.models.Branches, e.models.Ben
+	plan.SLOMS, plan.SafetyFactor, plan.BudgetMS = slo, safety, slo*safety
+	plan.CostWeight, plan.S0MS = costW, rp.S0MS
+
 	// Prediction tables: recorded, or recomputed from the bundle and
 	// the recorded feature vectors + scale factors (UseModelPredictions).
-	accLight := rp.AccLight
-	kernelMS := rp.KernelMS
-	cpuAdj := rp.CPUAdj
-	if cpuAdj == 0 {
-		cpuAdj = 1
-	}
+	plan.AccLight, plan.KernelMS = rp.AccLight, rp.KernelMS
 	if e.cfg.UseModelPredictions {
-		if len(rp.Light) == 0 {
-			return Redecision{}, fmt.Errorf("replay: %s: payload has no light feature vector", at())
-		}
-		accLight = e.models.PredictAccuracyLight(rp.Light)
-		cpuAdj = e.models.CPUAdjFactor()
-		kernelMS = make([]float64, n)
-		for bi := range kernelMS {
+		e.scrAccLight = e.models.PredictAccuracyLightInto(e.scrAccLight, rp.Light)
+		cpuAdj := e.models.CPUAdjFactor()
+		e.scrKernelMS = slices.Grow(e.scrKernelMS[:0], n)[:n]
+		for bi := range e.scrKernelMS {
 			det, trk := e.models.PredictLatency(bi, rp.Light)
-			kernelMS[bi] = det*rp.GPUScale + trk*rp.CPUScale*cpuAdj + e.models.LatencyBiasMS(bi)
+			e.scrKernelMS[bi] = det*rp.GPUScale + trk*rp.CPUScale*cpuAdj + e.models.LatencyBiasMS(bi)
 		}
+		plan.AccLight, plan.KernelMS = e.scrAccLight, e.scrKernelMS
 	}
 
-	// Heavy-feature prices as the analyzer saw them.
-	featCost := func(k feat.Kind) (float64, error) {
-		c, ok := rp.FeatCostMS[k.String()]
-		if !ok {
-			return 0, fmt.Errorf("replay: %s: payload has no cost for feature %v", at(), k)
+	// C(b0, b): the recorded per-branch costs (which include
+	// adapter-observed estimates) whenever the counterfactual sits on
+	// the recorded branch, the offline model otherwise.
+	plan.SwitchMS = nil
+	if hasCur && !noSwitch {
+		e.scrSwitch = slices.Grow(e.scrSwitch[:0], n)[:n]
+		for bi, b := range e.models.Branches {
+			if cur == recordedCur && rp.SwitchMS != nil {
+				e.scrSwitch[bi] = rp.SwitchMS[bi]
+			} else {
+				e.scrSwitch[bi] = mbek.SwitchCostMS(e.models.Branches[cur], b)
+			}
 		}
-		return c, nil
+		plan.SwitchMS = e.scrSwitch
 	}
 
-	// Step 2 mirror: decide the heavy feature set.
-	var selected []feat.Kind
-	switch v.policy {
-	case core.PolicyMinCost:
-	case core.PolicyMaxContentResNet:
-		selected = []feat.Kind{feat.ResNet50}
-	case core.PolicyMaxContentMobileNet:
-		selected = []feat.Kind{feat.MobileNetV2}
-	case core.PolicyForceFeature:
-		selected = []feat.Kind{v.forced}
-	case core.PolicyFull:
-		if degradeLevel > 0 || brkOpen {
-			break
-		}
-		var err error
-		selected, err = e.selectFeatures(rp, accLight, kernelMS, budget, slo, costW,
-			hasCur, noSwitch, switchMS, featCost)
-		if err != nil {
-			return Redecision{}, err
-		}
-	}
+	selected, _ := plan.Features()
 
-	// Step 3 mirror: map the selected set onto the recorded extraction
-	// environment. Recorded extraction failures fail again (they are
-	// the environment, not the policy); selections the recording never
-	// extracted have no vectors and degrade the estimate loudly.
+	// Map the selected set onto the recorded extraction environment.
+	// Recorded extraction failures fail again (they are the environment,
+	// not the policy); selections the recording never extracted have no
+	// vectors and degrade the estimate loudly.
 	recorded := d.Features
 	sameSet := equalKindNames(selected, recorded)
-	failed := map[string]bool{}
-	for _, name := range d.FailedFeatures {
-		failed[name] = true
-	}
 	missingHeavy := 0
-	var extracted []feat.Kind
-	var heavy map[feat.Kind][]float64
+	clear(e.scrHeavy)
+	extracted := e.scrExtracted[:0]
 	for _, k := range selected {
 		name := k.String()
-		if failed[name] {
+		if slices.Contains(d.FailedFeatures, name) {
 			continue
 		}
 		vec, ok := rp.Heavy[name]
@@ -421,27 +427,25 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 			missingHeavy++
 			continue
 		}
-		if heavy == nil {
-			heavy = make(map[feat.Kind][]float64, len(selected))
-		}
-		heavy[k] = vec
+		e.scrHeavy[k] = vec
 		extracted = append(extracted, k)
 	}
-	var acc []float64
+	e.scrExtracted = extracted
 	switch {
 	case sameSet && !e.cfg.UseModelPredictions:
 		// Identity path: the recorded content-aware table when heavy
 		// features survived, else the content-agnostic one (what
 		// PredictAccuracySet returns for an empty set).
 		if len(rp.Acc) == n {
-			acc = rp.Acc
+			plan.Acc = rp.Acc
 		} else {
-			acc = accLight
+			plan.Acc = plan.AccLight
 		}
 	case len(extracted) == 0:
-		acc = accLight
+		plan.Acc = plan.AccLight
 	default:
-		acc = e.models.PredictAccuracySet(extracted, rp.Light, heavy)
+		e.scrAcc = e.models.PredictAccuracySetInto(e.scrAcc, extracted, rp.Light, e.scrHeavy)
+		plan.Acc = e.scrAcc
 	}
 
 	// Scheduler spend: the recorded realization when the feature set is
@@ -455,119 +459,42 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 			}
 		}
 		for _, k := range selected {
-			c, err := featCost(k)
-			if err != nil {
-				return Redecision{}, err
-			}
-			schedSpent += c
+			schedSpent += plan.FeatMS[k]
 		}
 		if schedSpent < 0 {
 			schedSpent = 0
 		}
 	}
+	plan.SchedSpentMS = schedSpent
 
-	// Risk-admission mirror: a risk-recorded payload (PolicyRev ≥ 1)
-	// carries the exact per-branch quantile inflation factors and
+	// Risk admission: a risk-recorded payload (PolicyRev ≥ 1) carries
+	// the exact per-branch quantile inflation factors and
 	// tracker-failure probabilities the live admission used, so replay
 	// reproduces the risk procedure bit-exactly without variance state.
 	// The Config.RiskQuantile override instead re-derives both from the
 	// engine's models (counterfactual risk level), or forces mean
 	// admission at zero.
-	riskOn := false
-	var riskF, failP []float64
+	plan.RiskFactor, plan.FailProb = nil, nil
 	if e.cfg.RiskQuantile == nil {
 		if rp.PolicyRev >= 1 && rp.RiskQ > 0 {
 			if len(rp.RiskFactor) != n || len(rp.FailProb) != n {
 				return Redecision{}, fmt.Errorf("replay: %s: risk payload tables truncated (risk_factor %d, fail_prob %d, want %d)", at(), len(rp.RiskFactor), len(rp.FailProb), n)
 			}
-			riskOn = true
-			riskF, failP = rp.RiskFactor, rp.FailProb
+			plan.RiskFactor, plan.FailProb = rp.RiskFactor, rp.FailProb
 		}
-	} else if q := *e.cfg.RiskQuantile; q > 0 {
-		riskOn = true
-		z := glm.NormalQuantile(q)
-		riskF = make([]float64, n)
-		failP = make([]float64, n)
+	} else if *e.cfg.RiskQuantile > 0 {
+		e.scrRiskF = slices.Grow(e.scrRiskF[:0], n)[:n]
+		e.scrFailP = slices.Grow(e.scrFailP[:0], n)[:n]
 		for bi := 0; bi < n; bi++ {
-			riskF[bi] = e.models.QuantileFactor(bi, z)
-			if len(rp.Light) > 0 {
-				failP[bi] = e.models.PredictFailProb(bi, rp.Light)
-			}
+			e.scrRiskF[bi] = e.models.QuantileFactor(bi, e.riskZ)
+			e.scrFailP[bi] = e.models.PredictFailProb(bi, rp.Light)
 		}
+		plan.RiskFactor, plan.FailProb = e.scrRiskF, e.scrFailP
 	}
 
-	// Step 4 mirror: constrained optimization over the candidate set.
-	perFrame := func(bi int) float64 {
-		p := kernelMS[bi]
-		if manageOverhead {
-			over := schedSpent
-			if hasCur && !noSwitch {
-				over += switchMS(bi)
-			}
-			p += over / float64(e.models.Branches[bi].GoF)
-		}
-		return p
-	}
-	riskMargin := func(bi int) float64 {
-		if !riskOn {
-			return 0
-		}
-		return kernelMS[bi] * (riskF[bi] - 1)
-	}
-	bestIdx := -1
-	bestScore := math.Inf(-1)
-	feasible := 0
-	if degradeLevel > 0 {
-		bestLat := math.Inf(1)
-		for bi := range e.models.Branches {
-			pf := perFrame(bi) + riskMargin(bi)
-			if pf > budget {
-				continue
-			}
-			feasible++
-			if degradeLevel < core.MaxDegradeLevel && pf < bestLat {
-				bestLat = pf
-				bestIdx = bi
-			}
-		}
-		if degradeLevel >= core.MaxDegradeLevel {
-			bestIdx = 0
-			for bi := range kernelMS {
-				if kernelMS[bi] < kernelMS[bestIdx] {
-					bestIdx = bi
-				}
-			}
-		}
-	} else {
-		for bi := range e.models.Branches {
-			if perFrame(bi)+riskMargin(bi) > budget {
-				continue
-			}
-			feasible++
-			score := acc[bi]
-			if riskOn {
-				score *= 1 - failP[bi]
-			}
-			if hasCur && bi == cur && hyst > 0 && v.policy == core.PolicyFull {
-				score += hyst
-			}
-			if score > bestScore {
-				bestScore = score
-				bestIdx = bi
-			}
-		}
-	}
-	fallback := bestIdx < 0
-	if fallback {
-		bestIdx = 0
-		for bi := range kernelMS {
-			if kernelMS[bi] < kernelMS[bestIdx] {
-				bestIdx = bi
-			}
-		}
-	}
-	predMS := perFrame(bestIdx)
-	predAcc := acc[bestIdx]
+	plan.Hysteresis, plan.Cur, plan.Degrade = hyst, cur, degradeLevel
+	bestIdx, feasible, fallback, predMS := plan.Optimize()
+	predAcc := plan.Acc[bestIdx]
 	branchName := e.models.Branches[bestIdx].String()
 
 	// Fidelity comparison against the recording.
@@ -634,111 +561,9 @@ func (e *Engine) redecide(path string, d *obs.Decision, curIdx, simLevel *int, c
 		*chainDiverged = true
 	}
 	if e.cfg.Degrade == DegradeSim && d.GoFFrames > 0 {
-		if estMS > slo {
-			if *simLevel < core.MaxDegradeLevel {
-				*simLevel++
-			}
-		} else if *simLevel > 0 {
-			*simLevel--
-		}
+		*simLevel = core.WatchdogStep(*simLevel, estMS > slo)
 	}
 	return rd, nil
-}
-
-// selectFeatures mirrors the cost-benefit analyzer (core.Scheduler
-// .selectFeatures) over the recorded prices and tables: the same greedy
-// loop, the same value function, the same operation order.
-func (e *Engine) selectFeatures(rp *obs.ReplayPayload, accLight, kernelMS []float64,
-	budget, slo, costW float64, hasCur, noSwitch bool,
-	switchMS func(int) float64, featCost func(feat.Kind) (float64, error)) ([]feat.Kind, error) {
-
-	safety := rp.SafetyFactor
-	if e.cfg.SafetyFactor > 0 {
-		safety = e.cfg.SafetyFactor
-	}
-	s0 := rp.S0MS
-
-	value := func(set []feat.Kind) (float64, error) {
-		var fc float64
-		for _, kind := range set {
-			c, err := featCost(kind)
-			if err != nil {
-				return 0, err
-			}
-			fc += c
-		}
-		best := math.Inf(-1)
-		kernelBudget := 0.0
-		bestGoF := 1.0
-		for bi, b := range e.models.Branches {
-			over := s0 + fc
-			if hasCur && !noSwitch {
-				over += switchMS(bi)
-			}
-			pf := kernelMS[bi] + over/float64(b.GoF)
-			if pf > budget {
-				continue
-			}
-			if accLight[bi] > best {
-				best = accLight[bi]
-				bestGoF = float64(b.GoF)
-			}
-			if kb := budget - over/float64(b.GoF); kb > kernelBudget {
-				kernelBudget = kb
-			}
-		}
-		if math.IsInf(best, -1) {
-			return best, nil
-		}
-		v := best + e.models.Ben.SetBenefit(set, kernelBudget/safety)
-		if costW > 0 {
-			v -= costW * (fc / bestGoF) / budget
-		}
-		return v, nil
-	}
-
-	const stallFactor = 1.5
-	stallCap := stallFactor * slo
-
-	var set []feat.Kind
-	curVal, err := value(set)
-	if err != nil {
-		return nil, err
-	}
-	var remaining []feat.Kind
-	for _, k := range e.heavyKinds {
-		c, err := featCost(k)
-		if err != nil {
-			return nil, err
-		}
-		if c <= stallCap {
-			remaining = append(remaining, k)
-		}
-	}
-	var trial []feat.Kind
-	for len(remaining) > 0 {
-		bestIdx := -1
-		bestVal := curVal
-		for i, cand := range remaining {
-			trial = append(trial[:0], set...)
-			trial = append(trial, cand)
-			v, err := value(trial)
-			if err != nil {
-				return nil, err
-			}
-			if v > bestVal+1e-9 {
-				bestVal = v
-				bestIdx = i
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		set = append(set, remaining[bestIdx])
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		curVal = bestVal
-	}
-	return set, nil
 }
 
 // equalKindNames reports whether the selected kinds equal the recorded

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"litereconfig/internal/core"
-	"litereconfig/internal/feat"
 	"litereconfig/internal/sched"
 )
 
@@ -86,22 +84,4 @@ type Config struct {
 	// Models only supplies the Ben table, branch space and content
 	// models for off-recording feature sets.
 	UseModelPredictions bool
-}
-
-// variant is the per-decision scheduler behavior derived from the
-// recorded policy name or the Config.Policy override.
-type variant struct {
-	policy core.Policy
-	forced feat.Kind
-}
-
-// manageOverhead reports the variant's overhead regime (mirrors
-// core.Scheduler: the greedy MaxContent/Force variants apply the SLO to
-// the kernel only).
-func (v variant) manageOverhead() bool {
-	switch v.policy {
-	case core.PolicyMaxContentResNet, core.PolicyMaxContentMobileNet, core.PolicyForceFeature:
-		return false
-	}
-	return true
 }

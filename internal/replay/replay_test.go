@@ -1,13 +1,20 @@
 package replay
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"litereconfig/internal/adapt"
+	"litereconfig/internal/contend"
+	"litereconfig/internal/core"
 	"litereconfig/internal/fault"
+	"litereconfig/internal/feat"
 	"litereconfig/internal/fixture"
+	"litereconfig/internal/harness"
 	"litereconfig/internal/obs"
 	"litereconfig/internal/serve"
+	"litereconfig/internal/simlat"
 	"litereconfig/internal/vid"
 )
 
@@ -264,6 +271,101 @@ func TestWrongBundleFailsLoudly(t *testing.T) {
 	_, err := identityEngine(t).Replay(FromDecisions("wrong-bundle", ds))
 	if err == nil {
 		t.Fatal("replay with a mismatched branch space succeeded")
+	}
+}
+
+// TestMalformedVectorsFailLoudly: a feature vector whose width does not
+// match the bundle must fail with the located decision under every
+// configuration that reads it — never panic in a standardizer, and
+// never replay "fine" because a linear predictor skipped the missing
+// dims.
+func TestMalformedVectorsFailLoudly(t *testing.T) {
+	set, err := fixture.Small()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := 0.95
+	configs := map[string]Config{
+		"identity": {Models: set.Models},
+		"models":   {Models: set.Models, UseModelPredictions: true},
+		"risk":     {Models: set.Models, RiskQuantile: &q},
+	}
+	// Each cut truncates one vector of one decision and returns it.
+	cuts := map[string]func([]obs.Decision) *obs.Decision{
+		"light": func(ds []obs.Decision) *obs.Decision {
+			d := &ds[len(ds)/2]
+			d.Replay.Light = d.Replay.Light[:3]
+			return d
+		},
+		"heavy": func(ds []obs.Decision) *obs.Decision {
+			for i := range ds {
+				for k, vec := range ds[i].Replay.Heavy {
+					ds[i].Replay.Heavy[k] = vec[:len(vec)-1]
+					return &ds[i]
+				}
+			}
+			t.Fatal("recording extracted no heavy features")
+			return nil
+		},
+	}
+	for cname, cut := range cuts {
+		for name, cfg := range configs {
+			ds := recordServe(t, serve.Options{}, &fault.Config{Seed: 11, ExtractFailRate: 0.1}, nil)
+			d := cut(ds)
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = e.Replay(FromDecisions("bad.jsonl", ds))
+			if err == nil {
+				t.Fatalf("%s vector cut, %s config: replay succeeded", cname, name)
+			}
+			where := fmt.Sprintf("bad.jsonl: stream %d gen %d seq %d", d.Stream, d.Gen, d.Seq)
+			if !strings.Contains(err.Error(), where) {
+				t.Fatalf("%s vector cut, %s config: error %q does not locate %q", cname, name, err, where)
+			}
+		}
+	}
+}
+
+// TestIdentityForceFeature records the Table 4 ForceFeature variant —
+// the one variant the serving engine cannot run — straight through a
+// pipeline, and checks the fidelity invariant over it; replaying the
+// same corpus forced onto another feature must also succeed.
+func TestIdentityForceFeature(t *testing.T) {
+	fx, err := fixture.Small()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewPipeline(core.Options{Models: fx.Models, SLO: 50,
+		Policy: core.PolicyForceFeature, ForcedFeature: feat.HOG, ReplayTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	p.SetObserver(o.StreamObserver(0, "force"))
+	harness.Evaluate(p, fx.Corpus.Val[:2], simlat.TX2, 50,
+		contend.Phased{Phases: []contend.Phase{{Frames: 40, G: 0.1}, {Frames: 40, G: 0.6}}}, 42)
+	ds := o.Decisions()
+	for i := range ds {
+		if ds[i].Policy != "LiteReconfig-Force-hog" {
+			t.Fatalf("decision %d recorded policy %q", i, ds[i].Policy)
+		}
+	}
+	requireIdentity(t, ds, "force-hog")
+
+	e, err := New(Config{Models: fx.Models, Policy: "force-resnet50"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Replay(FromDecisions("force-resnet50", ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rd := range res.Redecisions {
+		if len(rd.Features) != 1 || rd.Features[0] != "resnet50" {
+			t.Fatalf("force-resnet50 override selected %v", rd.Features)
+		}
 	}
 }
 

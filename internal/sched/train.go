@@ -776,3 +776,16 @@ func SwitchMatrix(branches []mbek.Branch) (labels []string, costs [][]float64) {
 	}
 	return labels, costs
 }
+
+// FeatureDim returns the vector width the bundle's standardizer for
+// feature kind k expects (0 when the bundle has none for k).
+func (m *Models) FeatureDim(k feat.Kind) int {
+	norm := m.LightNorm
+	if k != feat.Light {
+		norm = m.HeavyNorm[k]
+	}
+	if norm == nil {
+		return 0
+	}
+	return len(norm.Mean)
+}
