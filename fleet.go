@@ -81,8 +81,8 @@ type FleetConfig struct {
 	CloneMS float64
 	// MaxMigrations caps per-stream board hand-offs. Default 3.
 	MaxMigrations int
-	// SafetyFactor shrinks SLOs to planning budgets for placement and
-	// migration scoring. Default 0.88.
+	// SafetyFactor shrinks SLOs to planning budgets for placement,
+	// migration scoring and every stream's scheduler. Default 0.88.
 	SafetyFactor float64
 	// DisableMigration turns off live migration (both SLO-driven and
 	// board-quarantine evacuation) — the ablation baseline.

@@ -18,6 +18,33 @@ import (
 // seconds of simulated time.
 const varForget = 0.995
 
+// Fixed tuning of the adaptation loop.
+const (
+	// errAlpha smooths the shadow-error EWMAs.
+	errAlpha = 0.15
+	// biasAlpha smooths the per-branch additive latency bias, and
+	// maxBiasMS clamps it.
+	biasAlpha = 0.1
+	maxBiasMS = 30
+	// cpuAdjAlpha smooths the global CPU-side latency multiplier. Each
+	// GoF yields an exact implied multiplier (base-cost shares are
+	// known, so the only noise is clock jitter), hence a fairly fast
+	// weight.
+	cpuAdjAlpha = 0.4
+	// accAlpha smooths the accuracy-recalibration moment estimates.
+	accAlpha = 0.1
+	// rlsForget is the RLS exponential forgetting factor; rlsDelta
+	// scales the RLS prior covariance delta·I (larger adapts faster away
+	// from the offline fit).
+	rlsForget = 0.995
+	rlsDelta  = 10
+	// switchAlpha smooths observed switch costs; switchMinSamples is how
+	// many observations a (from, to) pair needs before the observed
+	// estimate overrides the C(b0, b) model.
+	switchAlpha      = 0.3
+	switchMinSamples = 2
+)
+
 // Config tunes one stream's online adapter. The zero value of every
 // field means its default; pass the zero Config for the stock tuning.
 type Config struct {
@@ -55,31 +82,6 @@ type Config struct {
 	// previous champion is restored. Defaults 8 and 0.3.
 	DemoteWindow int
 	DemoteMargin float64
-
-	// ErrAlpha smooths the shadow-error EWMAs. Default 0.15.
-	ErrAlpha float64
-	// BiasAlpha smooths the per-branch additive latency bias. Default 0.1.
-	BiasAlpha float64
-	// CPUAdjAlpha smooths the global CPU-side latency multiplier. Each
-	// GoF yields an exact implied multiplier (base-cost shares are
-	// known, so the only noise is clock jitter), hence a fairly fast
-	// default of 0.4.
-	CPUAdjAlpha float64
-	// AccAlpha smooths the accuracy-recalibration moment estimates.
-	// Default 0.1.
-	AccAlpha float64
-	// Forget is the RLS exponential forgetting factor. Default 0.995.
-	Forget float64
-	// Delta scales the RLS prior covariance delta·I: larger adapts
-	// faster away from the offline fit. Default 10.
-	Delta float64
-	// MaxBiasMS clamps the learned per-branch latency bias. Default 30.
-	MaxBiasMS float64
-	// SwitchAlpha smooths observed switch costs; SwitchMinSamples is how
-	// many observations a (from, to) pair needs before the observed
-	// estimate overrides the C(b0, b) model. Defaults 0.3 and 2.
-	SwitchAlpha      float64
-	SwitchMinSamples int
 }
 
 func (c *Config) applyDefaults() {
@@ -103,33 +105,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.DemoteMargin == 0 {
 		c.DemoteMargin = 0.3
-	}
-	if c.ErrAlpha == 0 {
-		c.ErrAlpha = 0.15
-	}
-	if c.BiasAlpha == 0 {
-		c.BiasAlpha = 0.1
-	}
-	if c.CPUAdjAlpha == 0 {
-		c.CPUAdjAlpha = 0.4
-	}
-	if c.AccAlpha == 0 {
-		c.AccAlpha = 0.1
-	}
-	if c.Forget == 0 {
-		c.Forget = 0.995
-	}
-	if c.Delta == 0 {
-		c.Delta = 10
-	}
-	if c.MaxBiasMS == 0 {
-		c.MaxBiasMS = 30
-	}
-	if c.SwitchAlpha == 0 {
-		c.SwitchAlpha = 0.3
-	}
-	if c.SwitchMinSamples == 0 {
-		c.SwitchMinSamples = 2
 	}
 }
 
@@ -273,8 +248,8 @@ func (a *Adapter) buildRLS() {
 	for bi := 0; bi < n; bi++ {
 		d := a.challenger.LatDet[bi]
 		t := a.challenger.LatTrk[bi]
-		a.detRLS[bi] = NewRLS(d.Coef, d.Intercept, a.cfg.Forget, a.cfg.Delta)
-		a.trkRLS[bi] = NewRLS(t.Coef, t.Intercept, a.cfg.Forget, a.cfg.Delta)
+		a.detRLS[bi] = NewRLS(d.Coef, d.Intercept, rlsForget, rlsDelta)
+		a.trkRLS[bi] = NewRLS(t.Coef, t.Intercept, rlsForget, rlsDelta)
 	}
 	if a.challenger.LatBiasMS == nil {
 		a.challenger.LatBiasMS = make([]float64, n)
@@ -305,10 +280,6 @@ func (a *Adapter) SetGate(g *atomic.Bool) { a.cfg.Gate = g }
 func (a *Adapter) gateOpen() bool {
 	return a.cfg.Gate == nil || a.cfg.Gate.Load()
 }
-
-// Champion returns the models the scheduler should currently serve
-// from.
-func (a *Adapter) Champion() *sched.Models { return a.champion }
 
 // Begin records one decision's context and shadow-prices the
 // challenger on the same branch (predict-only — nothing is charged to
@@ -346,7 +317,7 @@ func (a *Adapter) ObserveSwitch(from, to mbek.Branch, costMS float64) {
 		a.switches[key] = &switchEstimate{ms: costMS, n: 1}
 		return
 	}
-	e.ms = (1-a.cfg.SwitchAlpha)*e.ms + a.cfg.SwitchAlpha*costMS
+	e.ms = (1-switchAlpha)*e.ms + switchAlpha*costMS
 	e.n++
 }
 
@@ -355,7 +326,7 @@ func (a *Adapter) ObserveSwitch(from, to mbek.Branch, costMS float64) {
 // back to the offline C(b0, b) model.
 func (a *Adapter) SwitchCostMS(from, to mbek.Branch) (ms float64, ok bool) {
 	e := a.switches[branchPair{from, to}]
-	if e == nil || e.n < a.cfg.SwitchMinSamples {
+	if e == nil || e.n < switchMinSamples {
 		return 0, false
 	}
 	return e.ms, true
@@ -384,7 +355,7 @@ func (a *Adapter) ObserveOutcome(o Outcome) (m *sched.Models, changed bool) {
 		a.champErr, a.chalErr = ce, che
 		a.errWarm = true
 	} else {
-		al := a.cfg.ErrAlpha
+		const al = errAlpha
 		a.champErr = (1-al)*a.champErr + al*ce
 		a.chalErr = (1-al)*a.chalErr + al*che
 	}
@@ -448,7 +419,7 @@ func (a *Adapter) refit(p Sample, o Outcome) {
 			implied := (o.AvgMS - p.OverheadMS - o.DetBaseMS/fr*p.GPUScale) / den
 			implied = math.Max(0.25, math.Min(4, implied))
 			cur := a.challenger.CPUAdjFactor()
-			a.challenger.LatCPUAdj = (1-a.cfg.CPUAdjAlpha)*cur + a.cfg.CPUAdjAlpha*implied
+			a.challenger.LatCPUAdj = (1-cpuAdjAlpha)*cur + cpuAdjAlpha*implied
 			did = true
 		}
 	}
@@ -462,11 +433,11 @@ func (a *Adapter) refit(p Sample, o Outcome) {
 		p.OverheadMS
 	resid := o.AvgMS - base
 	cur := a.challenger.LatencyBiasMS(bi)
-	nb := (1-a.cfg.BiasAlpha)*cur + a.cfg.BiasAlpha*resid
-	if nb > a.cfg.MaxBiasMS {
-		nb = a.cfg.MaxBiasMS
-	} else if nb < -a.cfg.MaxBiasMS {
-		nb = -a.cfg.MaxBiasMS
+	nb := (1-biasAlpha)*cur + biasAlpha*resid
+	if nb > maxBiasMS {
+		nb = maxBiasMS
+	} else if nb < -maxBiasMS {
+		nb = -maxBiasMS
 	}
 	a.challenger.LatBiasMS[bi] = nb
 	did = true
@@ -500,7 +471,7 @@ func (a *Adapter) refit(p Sample, o Outcome) {
 		if a.accN == 0 {
 			a.accMX, a.accMY, a.accMXX, a.accMXY = x, y, x*x, x*y
 		} else {
-			al := a.cfg.AccAlpha
+			const al = accAlpha
 			a.accMX = (1-al)*a.accMX + al*x
 			a.accMY = (1-al)*a.accMY + al*y
 			a.accMXX = (1-al)*a.accMXX + al*x*x

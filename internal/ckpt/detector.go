@@ -11,7 +11,8 @@ const (
 	// it is declared dead — enough to ride out a short blackout.
 	DefaultMaxRetries = 2
 	// DefaultBackoffBase is the first retry delay in barriers; each
-	// further probe doubles it.
+	// further probe doubles it, plus seeded jitter in
+	// [0, DefaultBackoffBase).
 	DefaultBackoffBase = 2
 )
 
@@ -24,10 +25,6 @@ type DetectorConfig struct {
 	// declared. Zero takes the default; negative means no retries
 	// (death on the first probe).
 	MaxRetries int
-	// BackoffBase is the first probe delay in barriers, doubled per
-	// probe, plus seeded jitter in [0, BackoffBase). Zero takes the
-	// default.
-	BackoffBase int
 	// Seed drives the jitter; fixed seeds give identical schedules.
 	Seed int64
 }
@@ -40,9 +37,6 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 		c.MaxRetries = DefaultMaxRetries
 	} else if c.MaxRetries < 0 {
 		c.MaxRetries = 0
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = DefaultBackoffBase
 	}
 	return c
 }
@@ -138,21 +132,22 @@ func (d *Detector) Observe(barrier int, beats map[string]bool) []Transition {
 	return out
 }
 
-// backoff returns the probe delay for the given attempt: BackoffBase
-// doubled per attempt, plus deterministic jitter in [0, BackoffBase)
-// keyed by (seed, board, attempt) — retries de-correlate across boards
-// without any randomness source shared with the simulation.
+// backoff returns the probe delay for the given attempt:
+// DefaultBackoffBase doubled per attempt, plus deterministic jitter in
+// [0, DefaultBackoffBase) keyed by (seed, board, attempt) — retries
+// de-correlate across boards without any randomness source shared with
+// the simulation.
 func (d *Detector) backoff(board string, attempt int) int {
 	if attempt > 16 {
 		attempt = 16 // cap the shift; leases are a handful of barriers
 	}
-	base := d.cfg.BackoffBase << uint(attempt)
+	base := DefaultBackoffBase << uint(attempt)
 	h := d.cfg.Seed
 	for _, c := range []byte(board) {
 		h = h*131 + int64(c)
 	}
 	h = h*1000003 + int64(attempt+1)*7919
-	jitter := int(uint64(h) % uint64(d.cfg.BackoffBase))
+	jitter := int(uint64(h) % DefaultBackoffBase)
 	return base + jitter
 }
 

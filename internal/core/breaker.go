@@ -24,17 +24,16 @@ func (s breakerState) String() string {
 	return "unknown"
 }
 
-// Breaker defaults.
 const (
-	// DefaultBreakerK is the number of consecutive bad heavy-feature
-	// outcomes (failed extraction, or an over-budget GoF that used heavy
+	// breakerK is the number of consecutive bad heavy-feature outcomes
+	// (failed extraction, or an over-budget GoF that used heavy
 	// features) before the breaker opens.
-	DefaultBreakerK = 3
-	// DefaultBreakerCooldown is the number of scheduler decisions the
-	// breaker stays open before a half-open probe; the actual cooldown
-	// adds a seeded jitter of up to the same amount so co-located
-	// streams do not probe in lockstep.
-	DefaultBreakerCooldown = 8
+	breakerK = 3
+	// breakerCooldown is the number of scheduler decisions the breaker
+	// stays open before a half-open probe; the actual cooldown adds a
+	// seeded jitter of up to the same amount so co-located streams do
+	// not probe in lockstep.
+	breakerCooldown = 8
 )
 
 // breaker is the heavy-feature circuit breaker (Table 1's cost
@@ -44,9 +43,7 @@ const (
 // probes its way back with a single half-open decision after a seeded
 // cooldown.
 type breaker struct {
-	k        int // consecutive bad outcomes to open
-	cooldown int // base open duration, in decisions
-	rng      *rand.Rand
+	rng *rand.Rand
 
 	state   breakerState
 	bad     int // consecutive bad outcomes while closed
@@ -54,17 +51,10 @@ type breaker struct {
 	opens   int // times the breaker tripped
 }
 
-// newBreaker builds a breaker; k and cooldown fall back to the
-// defaults when non-positive, and seed drives the cooldown jitter.
-func newBreaker(k, cooldown int, seed int64) *breaker {
-	if k <= 0 {
-		k = DefaultBreakerK
-	}
-	if cooldown <= 0 {
-		cooldown = DefaultBreakerCooldown
-	}
-	return &breaker{k: k, cooldown: cooldown,
-		rng: rand.New(rand.NewSource(seed))}
+// newBreaker builds a closed breaker whose cooldown jitter is driven
+// by seed.
+func newBreaker(seed int64) *breaker {
+	return &breaker{rng: rand.New(rand.NewSource(seed))}
 }
 
 // allowHeavy reports whether heavy-feature extraction may run this
@@ -94,7 +84,7 @@ func (b *breaker) recordBad() {
 	switch b.state {
 	case breakerClosed:
 		b.bad++
-		if b.bad >= b.k {
+		if b.bad >= breakerK {
 			b.trip()
 		}
 	case breakerHalfOpen:
@@ -122,5 +112,5 @@ func (b *breaker) trip() {
 	b.state = breakerOpen
 	b.bad = 0
 	b.opens++
-	b.waiting = b.cooldown + b.rng.Intn(b.cooldown)
+	b.waiting = breakerCooldown + b.rng.Intn(breakerCooldown)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 func TestBreakerTransitions(t *testing.T) {
-	b := newBreaker(3, 4, 7)
+	b := newBreaker(7)
 	if !b.allowHeavy() {
 		t.Fatal("fresh breaker should be closed")
 	}
@@ -33,10 +33,10 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatalf("opens = %d", b.opens)
 	}
 	// Cooldown: waiting is in [cooldown, 2*cooldown); tick it down.
-	if b.waiting < 4 || b.waiting >= 8 {
+	if b.waiting < breakerCooldown || b.waiting >= 2*breakerCooldown {
 		t.Fatalf("cooldown out of range: %d", b.waiting)
 	}
-	for i := 0; i < 8 && b.state == breakerOpen; i++ {
+	for i := 0; i < 2*breakerCooldown && b.state == breakerOpen; i++ {
 		b.tick()
 	}
 	if b.state != breakerHalfOpen {
@@ -50,7 +50,7 @@ func TestBreakerTransitions(t *testing.T) {
 	if b.state != breakerOpen || b.opens != 2 {
 		t.Fatalf("failed probe should re-open: state=%v opens=%d", b.state, b.opens)
 	}
-	for i := 0; i < 8 && b.state == breakerOpen; i++ {
+	for i := 0; i < 2*breakerCooldown && b.state == breakerOpen; i++ {
 		b.tick()
 	}
 	// Successful probe closes.

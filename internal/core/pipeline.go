@@ -76,13 +76,19 @@ func (p *Pipeline) Name() string {
 	return p.Sched.Name()
 }
 
-// overheadDecider wraps the scheduler, charging the pipeline's constant
-// per-frame overhead once per GoF frame via the decider hook.
+// pipelineDecider is the stepper's view of the scheduler. When the
+// pipeline has a constant per-frame overhead (ExtraPerFrameMS > 0) it
+// charges each GoF's share of it at the decision that opens the GoF,
+// which approximates a per-frame cost without modifying the shared loop.
 type pipelineDecider struct{ p *Pipeline }
 
 // Decide implements harness.Decider.
 func (d pipelineDecider) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f vid.Frame) mbek.Branch {
-	return d.p.Sched.Decide(k, clock, v, f)
+	b := d.p.Sched.Decide(k, clock, v, f)
+	if d.p.ExtraPerFrameMS > 0 {
+		clock.Charge("pipeline", simlat.CPU, d.p.ExtraPerFrameMS*float64(b.GoF))
+	}
+	return b
 }
 
 // ObserveGoF implements harness.GoFFeedback, feeding realized GoF
@@ -121,15 +127,10 @@ func (p *Pipeline) injector() *fault.Injector {
 func (p *Pipeline) Run(videos []*vid.Video, clock *simlat.Clock, cg contend.Generator) *harness.Result {
 	res := &harness.Result{MemoryGB: p.MemoryGB}
 	k := mbek.NewKernel(p.Det, clock)
-	var d harness.Decider = pipelineDecider{p}
-	if p.ExtraPerFrameMS > 0 {
-		// Charge the constant pipeline overhead through the decider hook.
-		d = chargingDecider{p}
-	}
 	inj := p.injector()
 	p.Sched.SetInjector(inj) // resets degradation state every run
 	cg = fault.WrapContention(cg, inj)
-	s := harness.NewStepper(k, d, videos, clock, cg, res)
+	s := harness.NewStepper(k, pipelineDecider{p}, videos, clock, cg, res)
 	s.SetObserver(p.Observer)
 	s.SetInjector(inj)
 	for s.Step() {
@@ -137,36 +138,4 @@ func (p *Pipeline) Run(videos []*vid.Video, clock *simlat.Clock, cg contend.Gene
 	s.Finish()
 	res.FeatureUse = p.Sched.FeatureUse()
 	return res
-}
-
-// chargingDecider charges the per-GoF share of the pipeline overhead at
-// each decision (GoF boundary), approximating a constant per-frame cost
-// without modifying the shared loop: the overhead for the *previous* GoF
-// is charged when the next boundary is reached.
-type chargingDecider struct{ p *Pipeline }
-
-// Decide implements harness.Decider.
-func (d chargingDecider) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f vid.Frame) mbek.Branch {
-	b := d.p.Sched.Decide(k, clock, v, f)
-	// Pre-charge this GoF's pipeline overhead: constant per frame times
-	// the chosen GoF length.
-	clock.Charge("pipeline", simlat.CPU, d.p.ExtraPerFrameMS*float64(b.GoF))
-	return b
-}
-
-// ObserveGoF implements harness.GoFFeedback.
-func (d chargingDecider) ObserveGoF(frames int, avgMS float64) {
-	d.p.Sched.ObserveGoF(frames, avgMS)
-}
-
-// AdaptActive and ObserveGoFOutcome implement harness.OutcomeFeedback;
-// ObserveSwitch implements harness.SwitchFeedback.
-func (d chargingDecider) AdaptActive() bool { return d.p.Sched.AdaptActive() }
-
-func (d chargingDecider) ObserveGoFOutcome(o harness.GoFOutcome) {
-	d.p.Sched.ObserveGoFOutcome(o)
-}
-
-func (d chargingDecider) ObserveSwitch(from, to mbek.Branch, costMS float64) {
-	d.p.Sched.ObserveSwitch(from, to, costMS)
 }

@@ -145,10 +145,6 @@ type Options struct {
 	// marginally-useful feature. Defaults to 0.08; set negative to
 	// disable (ablation).
 	CostWeight float64
-	// FeatureSeed seeds the feature extractor. Defaults to the trained
-	// models' FeatureSeed — online extraction must use the same simulated
-	// extractor weights the offline features came from.
-	FeatureSeed int64
 	// Faults is the rate-driven fault schedule the pipeline will inject
 	// around this scheduler; the scheduler itself only stores it here so
 	// Pipeline.Run can build a fresh per-run injector. Attach a live
@@ -157,17 +153,11 @@ type Options struct {
 	// Degrade controls the graceful-degradation machinery: the per-GoF
 	// latency watchdog (on overrun, fall down a branch ladder to the
 	// cheapest SLO-feasible branch) and the heavy-feature circuit
-	// breaker (after BreakerK consecutive failed or over-budget heavy
+	// breaker (after three consecutive failed or over-budget heavy
 	// extractions, run light-features-only until a half-open probe
 	// succeeds). DegradeAuto (the default) enables both exactly when a
 	// fault injector is attached.
 	Degrade DegradeMode
-	// BreakerK and BreakerCooldown tune the circuit breaker: K
-	// consecutive bad heavy outcomes open it, and it stays open for
-	// Cooldown decisions (plus a seeded jitter) before a half-open
-	// probe. Zero means the defaults (3 and 8).
-	BreakerK        int
-	BreakerCooldown int
 	// Observer is the opt-in observability view for this scheduler's
 	// stream: every Decide attaches its selected features, Ben(f_H)
 	// verdict, chosen branch, predicted accuracy/latency and feasible
@@ -175,24 +165,14 @@ type Options struct {
 	// boundary. Recording is passive — it reads the clock, never charges
 	// it — so decisions are identical with the observer on or off.
 	Observer *obs.StreamObserver
-	// SensorAlpha and DriftAlpha override the EWMA smoothing weights of
-	// the contention sensor (core.DefaultSensorAlpha = 0.4) and the CPU
-	// drift estimator (core.DefaultDriftAlpha = 0.2). Both estimators
-	// warm up from their first observation — see the type docs in
-	// sensor.go. Zero means the default.
-	SensorAlpha float64
-	DriftAlpha  float64
 	// Adapt enables the online model-adaptation subsystem: the
 	// scheduler shadows every decision, refits a challenger copy of the
 	// models from realized GoF outcomes, and swaps it in at a GoF
 	// barrier once it provably predicts better (champion–challenger
-	// rollout). Nil means frozen models (plus the EWMA sensors above).
+	// rollout). Nil means frozen models (plus the EWMA contention and
+	// drift sensors). The serving engine wires per-board registries and
+	// staged-rollout gates through the config's Registry and Gate.
 	Adapt *adapt.Config
-	// Adapter attaches a pre-built adapter instead; it must wrap the
-	// same Models the scheduler serves from. The serving engine uses
-	// this to wire per-board registries and staged-rollout gates.
-	// Overrides Adapt.
-	Adapter *adapt.Adapter
 	// ReplayTrace enriches every recorded decision with the scheduler's
 	// full input set (obs.ReplayPayload): feature vectors, sensed
 	// contention scales, budgets, and the per-branch A(b,f)/L(b,f)
@@ -222,6 +202,10 @@ type Scheduler struct {
 	ex     *feat.Extractor
 	sensor *ContentionSensor
 	drift  *CPUDriftEstimator
+	// seed is the trained models' FeatureSeed (1 when unset): online
+	// extraction must use the same simulated extractor weights the
+	// offline features came from, and it also seeds the breaker jitter.
+	seed int64
 
 	// adapter is the online model-adaptation loop (nil = frozen
 	// models). The scheduler reads s.models, which the adapter swaps to
@@ -287,12 +271,6 @@ func New(opts Options) (*Scheduler, error) {
 	if opts.Hysteresis == 0 {
 		opts.Hysteresis = 0.004
 	}
-	if opts.FeatureSeed == 0 {
-		opts.FeatureSeed = opts.Models.FeatureSeed
-	}
-	if opts.FeatureSeed == 0 {
-		opts.FeatureSeed = 1
-	}
 	if opts.CostWeight == 0 {
 		opts.CostWeight = 0.08
 	}
@@ -302,16 +280,20 @@ func New(opts Options) (*Scheduler, error) {
 	if opts.RiskQuantile < 0 || opts.RiskQuantile >= 1 {
 		return nil, fmt.Errorf("core: RiskQuantile must be in [0, 1), got %v", opts.RiskQuantile)
 	}
+	seed := opts.Models.FeatureSeed
+	if seed == 0 {
+		seed = 1
+	}
 	s := &Scheduler{
 		opts:       opts,
 		models:     opts.Models,
-		ex:         feat.NewExtractor(opts.FeatureSeed),
-		sensor:     NewContentionSensorAlpha(opts.SensorAlpha),
+		ex:         feat.NewExtractor(seed),
+		sensor:     NewContentionSensor(),
+		seed:       seed,
 		featureUse: map[feat.Kind]int{},
-		adapter:    opts.Adapter,
 		scrHeavy:   map[feat.Kind][]float64{},
 	}
-	if s.adapter == nil && opts.Adapt != nil {
+	if opts.Adapt != nil {
 		a, err := adapt.New(*opts.Adapt, opts.Models)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -426,7 +408,7 @@ func (s *Scheduler) degradationActive() bool {
 // feature seed so the half-open probe jitter is deterministic.
 func (s *Scheduler) ensureBreaker() {
 	if s.brk == nil {
-		s.brk = newBreaker(s.opts.BreakerK, s.opts.BreakerCooldown, s.opts.FeatureSeed)
+		s.brk = newBreaker(s.seed)
 	}
 }
 
@@ -552,7 +534,7 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		s.sensor.Observe(s.assumedDevice(clock), actual, base)
 	}
 	if s.drift == nil {
-		s.drift = NewCPUDriftEstimatorAlpha(s.assumedDevice(clock), s.opts.DriftAlpha)
+		s.drift = NewCPUDriftEstimator(s.assumedDevice(clock))
 	}
 	if actual, base := k.LastTrackerObservation(); actual > 0 {
 		s.drift.Observe(actual, base)

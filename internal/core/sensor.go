@@ -19,12 +19,12 @@ import (
 // Warm-up semantics: the very first valid observation sets the
 // estimate directly (no smoothing against the zero initial state —
 // otherwise a cold sensor would under-report contention for the first
-// ~1/alpha GoFs); every later observation blends in with weight alpha.
+// ~1/alpha GoFs); every later observation blends in with weight
+// alpha = DefaultSensorAlpha.
 // Before the first observation Level reports 0 (assume no contention).
 type ContentionSensor struct {
-	est   float64
-	warm  bool
-	alpha float64 // EWMA weight of a new observation
+	est  float64
+	warm bool
 }
 
 // DefaultSensorAlpha and DefaultDriftAlpha are the stock EWMA smoothing
@@ -36,16 +36,7 @@ const (
 
 // NewContentionSensor returns a sensor with the default smoothing.
 func NewContentionSensor() *ContentionSensor {
-	return NewContentionSensorAlpha(0)
-}
-
-// NewContentionSensorAlpha returns a sensor with the given EWMA weight;
-// alpha <= 0 means DefaultSensorAlpha.
-func NewContentionSensorAlpha(alpha float64) *ContentionSensor {
-	if alpha <= 0 {
-		alpha = DefaultSensorAlpha
-	}
-	return &ContentionSensor{alpha: alpha}
+	return &ContentionSensor{}
 }
 
 // Observe ingests one detector pass: the actually measured cost and the
@@ -63,7 +54,7 @@ func (s *ContentionSensor) Observe(dev simlat.Device, actualMS, baseMS float64) 
 		s.warm = true
 		return
 	}
-	s.est = (1-s.alpha)*s.est + s.alpha*g
+	s.est = (1-DefaultSensorAlpha)*s.est + DefaultSensorAlpha*g
 }
 
 // Level returns the smoothed contention estimate in [0, 0.99].
@@ -89,12 +80,11 @@ func (s *ContentionSensor) Warm() bool { return s.warm }
 //
 // Warm-up semantics match the ContentionSensor: the first valid
 // observation sets the ratio directly, later ones blend in with weight
-// alpha, and before any observation Ratio reports 1 (trust the
+// DefaultDriftAlpha, and before any observation Ratio reports 1 (trust the
 // profile).
 type CPUDriftEstimator struct {
 	ratio float64
 	warm  bool
-	alpha float64
 	// expectedFactor is the CPU device factor the latency predictions
 	// already account for; observations are normalized by it.
 	expectedFactor float64
@@ -102,16 +92,7 @@ type CPUDriftEstimator struct {
 
 // NewCPUDriftEstimator returns an estimator for the given device profile.
 func NewCPUDriftEstimator(dev simlat.Device) *CPUDriftEstimator {
-	return NewCPUDriftEstimatorAlpha(dev, 0)
-}
-
-// NewCPUDriftEstimatorAlpha returns an estimator with the given EWMA
-// weight; alpha <= 0 means DefaultDriftAlpha.
-func NewCPUDriftEstimatorAlpha(dev simlat.Device, alpha float64) *CPUDriftEstimator {
-	if alpha <= 0 {
-		alpha = DefaultDriftAlpha
-	}
-	return &CPUDriftEstimator{alpha: alpha, expectedFactor: dev.CPUFactor}
+	return &CPUDriftEstimator{expectedFactor: dev.CPUFactor}
 }
 
 // Observe ingests one tracker step: observed cost and the base (TX2)
@@ -127,7 +108,7 @@ func (e *CPUDriftEstimator) Observe(actualMS, baseMS float64) {
 		e.warm = true
 		return
 	}
-	e.ratio = (1-e.alpha)*e.ratio + e.alpha*r
+	e.ratio = (1-DefaultDriftAlpha)*e.ratio + DefaultDriftAlpha*r
 }
 
 // Ratio returns the smoothed drift multiplier (1 = no drift).

@@ -24,6 +24,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -453,9 +454,12 @@ func WrapContention(g contend.Generator, inj *Injector) contend.Generator {
 //	crash=8            (board dies permanently at round 8)
 //	blackout=5,blackout_rounds=3  (board unresponsive rounds 5-7)
 //
-// Errors name the offending token and its 1-based position in the spec.
-// Repeating a key (including via an alias such as extract/extract_fail)
-// is an error rather than a silent last-one-wins.
+// Every value must be a finite, non-negative number within its key's
+// limit (see specLimits): rates and burst_level at most 1, and seed,
+// burst_frames and the round keys whole numbers. Errors name the
+// offending token and its 1-based position in the spec. Repeating a key
+// (including via an alias such as extract/extract_fail) is an error
+// rather than a silent last-one-wins.
 func ParseSpec(spec string) (*Config, error) {
 	cfg := &Config{}
 	seen := map[string]int{} // canonical key -> first token position
@@ -475,10 +479,17 @@ func ParseSpec(spec string) (*Config, error) {
 		if key == "extract_fail" {
 			canon = "extract"
 		}
-		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			return nil, fmt.Errorf("fault: bad value %q for key %q at position %d (token %q)",
-				strings.TrimSpace(val), key, pos, tok)
+		lim, known := specLimits[key]
+		if !known {
+			return nil, fmt.Errorf("fault: unknown key %q at position %d (token %q; known: %s)",
+				key, pos, tok, strings.Join(specKeys(), ", "))
+		}
+		val = strings.TrimSpace(val)
+		f, err := strconv.ParseFloat(val, 64)
+		// !(f >= 0) also catches NaN, and f > lim.max catches +Inf.
+		if err != nil || !(f >= 0) || f > lim.max || (lim.integral && f != math.Trunc(f)) {
+			return nil, fmt.Errorf("fault: bad value %q for key %q at position %d (token %q; want %s)",
+				val, key, pos, tok, lim)
 		}
 		switch key {
 		case "seed":
@@ -507,9 +518,6 @@ func ParseSpec(spec string) (*Config, error) {
 			cfg.BlackoutRound = int(f)
 		case "blackout_rounds":
 			cfg.BlackoutRounds = int(f)
-		default:
-			return nil, fmt.Errorf("fault: unknown key %q at position %d (token %q; known: %s)",
-				key, pos, tok, strings.Join(specKeys(), ", "))
 		}
 		if first, dup := seen[canon]; dup {
 			return nil, fmt.Errorf("fault: duplicate key %q at position %d (first set at position %d)",
@@ -518,6 +526,54 @@ func ParseSpec(spec string) (*Config, error) {
 		seen[canon] = pos
 	}
 	return cfg, nil
+}
+
+// specLimit bounds one ParseSpec key's value to [0, max], whole numbers
+// only when integral.
+type specLimit struct {
+	max      float64
+	integral bool
+}
+
+// String describes the accepted values for error messages.
+func (l specLimit) String() string {
+	kind := "a number"
+	if l.integral {
+		kind = "an integer"
+	}
+	return fmt.Sprintf("%s in [0, %s]", kind, strconv.FormatFloat(l.max, 'f', -1, 64))
+}
+
+// Upper bounds of the ParseSpec values that are not rates.
+const (
+	// maxSpecMS caps spike and stall magnitudes at 1000 s of simulated
+	// time: far beyond any GoF, yet small enough that summed charges
+	// can never overflow the stream clock.
+	maxSpecMS = 1e6
+	// maxSpecCount caps frame counts and rounds so that a blackout's
+	// end round (start + length) still fits an int on every platform.
+	maxSpecCount = math.MaxInt32
+	// maxSpecSeed is the largest seed a float parse represents exactly.
+	maxSpecSeed = 1 << 53
+)
+
+// specLimits is the ParseSpec grammar: every accepted key with its
+// value limit.
+var specLimits = map[string]specLimit{
+	"seed":            {maxSpecSeed, true},
+	"spike":           {1, false},
+	"spike_ms":        {maxSpecMS, false},
+	"extract":         {1, false},
+	"extract_fail":    {1, false},
+	"burst":           {1, false},
+	"burst_level":     {1, false},
+	"burst_frames":    {maxSpecCount, true},
+	"stall":           {1, false},
+	"stall_ms":        {maxSpecMS, false},
+	"panic":           {1, false},
+	"crash":           {maxSpecCount, true},
+	"blackout":        {maxSpecCount, true},
+	"blackout_rounds": {maxSpecCount, true},
 }
 
 // ParseBoardSpecs parses the board-scoped fault grammar used by the
@@ -592,11 +648,15 @@ func ValidateBoards(specs map[string]*Config, known []string) error {
 	return nil
 }
 
-// specKeys lists the ParseSpec grammar's keys for error messages.
+// specKeys lists the ParseSpec grammar's keys for error messages,
+// leaving out the extract_fail alias.
 func specKeys() []string {
-	keys := []string{"seed", "spike", "spike_ms", "extract", "burst",
-		"burst_level", "burst_frames", "stall", "stall_ms", "panic",
-		"crash", "blackout", "blackout_rounds"}
+	keys := make([]string, 0, len(specLimits))
+	for k := range specLimits {
+		if k != "extract_fail" {
+			keys = append(keys, k)
+		}
+	}
 	sort.Strings(keys)
 	return keys
 }

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"litereconfig/internal/contend"
@@ -157,9 +159,20 @@ func TestParseSpec(t *testing.T) {
 	if (Config{}).Enabled() {
 		t.Fatal("zero config should be disabled")
 	}
-	for _, bad := range []string{"spike", "spike=x", "bogus=1"} {
-		if _, err := ParseSpec(bad); err == nil {
+	for _, bad := range []string{"spike", "spike=x", "bogus=1",
+		"spike=1,spike_ms=NaN", "stall=1,stall_ms=Inf", "spike_ms=1e7",
+		"spike=-1", "panic=2", "extract_fail=1.5", "burst_level=-0.1",
+		"crash=2.5", "seed=1e30", "seed=-3", "burst_frames=0.5",
+		"blackout=1e10", "blackout_rounds=-1", "spike=1e400"} {
+		_, err := ParseSpec(bad)
+		if err == nil {
 			t.Fatalf("spec %q should not parse", bad)
+		}
+		// Every error names the offending token and its position.
+		tok := bad[strings.LastIndex(bad, ",")+1:]
+		if !strings.Contains(err.Error(), strconv.Quote(tok)) ||
+			!strings.Contains(err.Error(), "position") {
+			t.Errorf("spec %q: error %q does not locate token %q", bad, err, tok)
 		}
 	}
 	if cfg, err := ParseSpec(""); err != nil || cfg.Enabled() {
@@ -225,7 +238,7 @@ func TestValidateBoardsRejectsUnknownLabel(t *testing.T) {
 	// The error must name the bad label and the known set, so the typo
 	// is diagnosable from the message alone.
 	for _, want := range []string{"b9", "b0", "b1", "b2"} {
-		if !contains(err.Error(), want) {
+		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not mention %q", err, want)
 		}
 	}
@@ -243,13 +256,54 @@ func TestValidateBoardsRejectsUnknownLabel(t *testing.T) {
 	}
 }
 
-// contains reports substring presence without importing strings just
-// for tests.
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
+// FuzzParseSpec checks that the board-scoped fault grammar either
+// rejects an input or yields configs whose every field is finite and in
+// range, so no accepted spec can feed NaN, infinite, negative or
+// wrapped values into a simulation.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range []string{
+		"spike=0.05, extract=0.1,burst=0.02,stall=0.01,panic=0.005,seed=42,spike_ms=80,stall_ms=300,burst_level=0.5,burst_frames=40",
+		"spike=0.05,extract=0.1", "spike=0.2,extract_fail=0.2", "spike=0.1",
+		"spike=0.1,seed=3", "crash=8", "blackout=5", "blackout=5,blackout_rounds=2",
+		"b1:panic=0.3", "b1:panic=0.4", "b1:crash=6", "b1:crash=9", "b2:blackout=5",
+		"b1:crash=6;b2:blackout=4", "spike=0.01;b1:crash=4;b9:panic=0.3",
+		"stall=0.01;b2:crash=3", "spike=0.01;b1:panic=0.2,stall=0.1",
+		"spike=0.01;b1:panic=0.3", "spike=0.01;b1:panic=0.3,seed=5",
+		"spike=0.1;b1:panic=0.3,seed=3", "", "spike", "spike=x", "bogus=1",
+		"spike=1,spike_ms=NaN", "stall=1,stall_ms=Inf", "spike=-1", "panic=2",
+		"crash=2.5", "seed=1e30",
+	} {
+		f.Add(spec)
 	}
-	return false
+	f.Fuzz(func(t *testing.T, spec string) {
+		specs, err := ParseBoardSpecs(spec)
+		if err != nil {
+			return
+		}
+		for board, c := range specs {
+			rates := []float64{c.SpikeRate, c.ExtractFailRate, c.BurstRate,
+				c.StallRate, c.PanicRate, c.BurstLevel}
+			for _, r := range rates {
+				if !(r >= 0 && r <= 1) {
+					t.Fatalf("%q board %q: rate or level %v outside [0, 1]: %+v", spec, board, r, *c)
+				}
+			}
+			for _, ms := range []float64{c.SpikeMS, c.StallMS} {
+				if !(ms >= 0 && ms <= maxSpecMS) {
+					t.Fatalf("%q board %q: magnitude %v outside [0, %v]: %+v", spec, board, ms, maxSpecMS, *c)
+				}
+			}
+			for _, n := range []int{c.BurstFrames, c.CrashRound, c.BlackoutRound, c.BlackoutRounds} {
+				if n < 0 || n > maxSpecCount {
+					t.Fatalf("%q board %q: count %d outside [0, %d]: %+v", spec, board, n, maxSpecCount, *c)
+				}
+			}
+			if c.Seed < 0 || c.Seed > maxSpecSeed {
+				t.Fatalf("%q board %q: seed %d outside [0, %d]", spec, board, c.Seed, int64(maxSpecSeed))
+			}
+			if start, end := c.BlackoutWindow(); end < start {
+				t.Fatalf("%q board %q: blackout window [%d, %d) overflows", spec, board, start, end)
+			}
+		}
+	})
 }

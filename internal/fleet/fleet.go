@@ -101,8 +101,9 @@ type Options struct {
 	CloneMS float64
 	// MaxMigrations caps per-stream board hand-offs. Default 3.
 	MaxMigrations int
-	// SafetyFactor shrinks SLOs to planning budgets. Default
-	// core.DefaultSafetyFactor.
+	// SafetyFactor shrinks SLOs to planning budgets. Placement, every
+	// board's preemption and every stream's scheduler use the same
+	// value. Default core.DefaultSafetyFactor.
 	SafetyFactor float64
 	// DisableMigration turns off live migration (both SLO-driven and
 	// board-quarantine evacuation): streams stay where they were placed,
@@ -137,11 +138,9 @@ type Options struct {
 	ClassWeights map[string]int
 	// Preempt enables barrier-time preemption on every board: lowest-
 	// weight streams are evicted when a higher tier's SLO is infeasible
-	// under board occupancy (see serve.Options.Preempt). PreemptLimit is
-	// the per-stream eviction budget (0 = default, negative = retire on
-	// first eviction).
-	Preempt      bool
-	PreemptLimit int
+	// under board occupancy (see serve.Options.Preempt). A stream
+	// absorbs serve.DefaultPreemptLimit evictions before it retires.
+	Preempt bool
 	// Observer is the shared observability sink for the whole fleet:
 	// decision traces and metrics from every board land here with board
 	// labels, plus the fleet's own placement/migration trace.
@@ -157,14 +156,12 @@ type Options struct {
 	// outright even under faults (crashed streams are then retired, not
 	// restored — the ablation the chaos tests quantify).
 	CheckpointInterval int
-	// LeaseBarriers, RecoveryRetries and RecoveryBackoff tune the
-	// virtual-time failure detector (see ckpt.DetectorConfig: the
-	// heartbeat lease, the probe budget a suspect board gets before it
-	// is declared dead, and the base probe backoff in barriers). Zero
-	// fields take the ckpt defaults.
+	// LeaseBarriers and RecoveryRetries tune the virtual-time failure
+	// detector (see ckpt.DetectorConfig: the heartbeat lease and the
+	// probe budget a suspect board gets before it is declared dead).
+	// Zero fields take the ckpt defaults.
 	LeaseBarriers   int
 	RecoveryRetries int
-	RecoveryBackoff int
 	// RecoverySeed drives the detector's probe-backoff jitter; fixed
 	// seeds give byte-identical recovery schedules. Default 1.
 	RecoverySeed int64
@@ -377,7 +374,6 @@ func New(opts Options) (*Fleet, error) {
 			Admission:    opts.Admission,
 			ClassWeights: opts.ClassWeights,
 			Preempt:      opts.Preempt,
-			PreemptLimit: opts.PreemptLimit,
 			SafetyFactor: opts.SafetyFactor,
 			ReplayTrace:  opts.ReplayTrace,
 			RiskQuantile: opts.RiskQuantile,
@@ -421,7 +417,6 @@ func New(opts Options) (*Fleet, error) {
 		f.det = ckpt.NewDetector(ckpt.DetectorConfig{
 			LeaseBarriers: opts.LeaseBarriers,
 			MaxRetries:    opts.RecoveryRetries,
-			BackoffBase:   opts.RecoveryBackoff,
 			Seed:          opts.RecoverySeed,
 		}, names)
 		f.beats = make(map[string]bool, len(f.boards))

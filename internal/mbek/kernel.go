@@ -178,12 +178,6 @@ func (k *Kernel) ProcessFrame(f vid.Frame) []metric.Detection {
 	return dets
 }
 
-// DetectorSharesFrame reports whether the detector will run on the next
-// processed frame — true exactly at GoF boundaries. The scheduler uses
-// this to price detector-shared features (ResNet50, CPoP) at their
-// pooled cost.
-func (k *Kernel) DetectorSharesFrame() bool { return k.AtGoFBoundary() }
-
 // LastDetectorObservation returns the most recent detector pass's actual
 // charged cost and its base (TX2, zero-contention) cost. Both are zero
 // before the first detector pass.

@@ -22,8 +22,6 @@ type Config struct {
 	// Branches is the branch space the predictors cover. Defaults to
 	// mbek.DefaultBranches().
 	Branches []mbek.Branch
-	// Det is the MBEK's detector model. Defaults to detect.FasterRCNN.
-	Det detect.Model
 	// SnippetLen is the look-ahead window N (Sec. 3.3). Defaults to 100.
 	SnippetLen int
 	// SnippetStride is the offset between training snippet starts;
@@ -47,12 +45,6 @@ type Config struct {
 	// the high-dimensional features, which is what keeps the content
 	// models sample-efficient on small offline datasets. Defaults to 64.
 	SketchDim int
-	// BenHoldoutFrac is the fraction of offline samples withheld from
-	// predictor training and used only to measure the benefit table, so
-	// Ben(f_H) reflects generalization gain rather than training-set
-	// optimism. Defaults to 0.25.
-	BenHoldoutFrac float64
-
 	// BudgetsMS are the kernel-latency buckets of the benefit table.
 	BudgetsMS []float64
 }
@@ -60,9 +52,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.Branches == nil {
 		c.Branches = mbek.DefaultBranches()
-	}
-	if c.Det.Name == "" {
-		c.Det = detect.FasterRCNN
 	}
 	if c.SnippetLen == 0 {
 		c.SnippetLen = 100
@@ -87,9 +76,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.SketchDim == 0 {
 		c.SketchDim = 64
-	}
-	if c.BenHoldoutFrac == 0 {
-		c.BenHoldoutFrac = 0.25
 	}
 	if c.BudgetsMS == nil {
 		c.BudgetsMS = []float64{10, 15, 20, 27, 33.3, 50, 75, 100}
@@ -151,7 +137,7 @@ func Collect(cfg Config, videos []*vid.Video) *Dataset {
 				sample.Heavy[k] = ex.Extract(k, v, s.First())
 			}
 			for bi, b := range cfg.Branches {
-				ev, series := mbek.EvalBranchSeries(cfg.Det, s, b, cfg.Device, 0,
+				ev, series := mbek.EvalBranchSeries(detect.FasterRCNN, s, b, cfg.Device, 0,
 					cfg.Seed+int64(vi)*100003+int64(si)*307+int64(bi))
 				sample.MAP[bi] = ev.MAP
 				sample.DetMS[bi] = ev.DetMS

@@ -111,6 +111,10 @@ type Models struct {
 	scrContent []float64 // per-kind content prediction inside Set ensembling
 }
 
+// benHoldoutPeriod holds out every fourth offline sample (a quarter of
+// the set) for the benefit table.
+const benHoldoutPeriod = 4
+
 // Train fits all models on a collected dataset.
 func Train(cfg Config, ds *Dataset) (*Models, error) {
 	cfg.applyDefaults()
@@ -119,7 +123,7 @@ func Train(cfg Config, ds *Dataset) (*Models, error) {
 	}
 	m := &Models{
 		Branches:    cfg.Branches,
-		Det:         cfg.Det,
+		Det:         detect.FasterRCNN,
 		ContentNets: map[feat.Kind]*nn.TwoTower{},
 		HeavyNorm:   map[feat.Kind]*Standardizer{},
 		Sketch:      map[feat.Kind][][]float64{},
@@ -143,16 +147,13 @@ func Train(cfg Config, ds *Dataset) (*Models, error) {
 		m.Sketch[k] = proj
 	}
 
-	// Split the offline samples: most train the predictors, a held-out
-	// fraction measures the benefit table so Ben(f_H) reflects the gain
-	// the content features generalize to, not training-set optimism.
-	period := 0
-	if cfg.BenHoldoutFrac > 0 && cfg.BenHoldoutFrac < 1 {
-		period = int(math.Round(1 / cfg.BenHoldoutFrac))
-	}
+	// Split the offline samples: most train the predictors, every
+	// benHoldoutPeriod-th one measures the benefit table so Ben(f_H)
+	// reflects the gain the content features generalize to, not
+	// training-set optimism.
 	var train, hold []Sample
 	for i, s := range ds.Samples {
-		if period > 1 && i%period == period-1 {
+		if i%benHoldoutPeriod == benHoldoutPeriod-1 {
 			hold = append(hold, s)
 		} else {
 			train = append(train, s)

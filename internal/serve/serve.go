@@ -141,8 +141,9 @@ type Options struct {
 	// PreemptLimit is the per-stream eviction budget; zero means the
 	// default (3), negative means retire on the first preemption.
 	PreemptLimit int
-	// SafetyFactor shrinks SLOs to planning budgets for feasibility
-	// scoring. Zero means core.DefaultSafetyFactor.
+	// SafetyFactor shrinks SLOs to planning budgets: every stream's
+	// scheduler plans under it, and preemption judges feasibility with
+	// it. Zero means core.DefaultSafetyFactor.
 	SafetyFactor float64
 	// Adapt enables online model adaptation for every served stream:
 	// each stream's scheduler shadows its decisions, refits a challenger
@@ -244,7 +245,6 @@ type Server struct {
 	preemptRet  int            // streams retired by exhausted preemption budget
 	rounds      int            // board rounds run so far
 	panicsTotal int            // recovered worker panics, all streams
-	quarantined int            // streams retired to quarantine
 	draining    bool
 	report      *Result
 
@@ -613,7 +613,6 @@ func (s *Server) runRound() bool {
 func (s *Server) quarantineLocked(st *stream, reason string) {
 	st.health = HealthQuarantined
 	st.quarReason = reason
-	s.quarantined++
 	s.met.quarantines.Inc()
 	st.retireLocked()
 }

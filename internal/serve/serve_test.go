@@ -6,6 +6,7 @@ import (
 
 	"litereconfig/internal/core"
 	"litereconfig/internal/fixture"
+	"litereconfig/internal/obs"
 	"litereconfig/internal/vid"
 )
 
@@ -232,5 +233,37 @@ func TestDrainStopsIntakeAndIsIdempotent(t *testing.T) {
 	}
 	if r1.Streams[0].Raw == nil || r1.Streams[0].Raw.Breakdown == nil {
 		t.Fatal("raw result with breakdown must be attached")
+	}
+}
+
+// TestSafetyFactorReachesSchedulers checks that the board's safety
+// factor is the one every stream's scheduler plans under, not only the
+// one preemption judges feasibility with.
+func TestSafetyFactorReachesSchedulers(t *testing.T) {
+	s := setup(t)
+	observer := obs.New()
+	srv, err := New(Options{Models: s.Models, Observer: observer,
+		SafetyFactor: 0.7, ReplayTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := srv.Submit(StreamConfig{Video: video(700+int64(i), 30), SLO: 50}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Drain()
+	ds := observer.Decisions()
+	if len(ds) == 0 {
+		t.Fatal("no decisions recorded")
+	}
+	for _, d := range ds {
+		if d.Replay == nil {
+			t.Fatalf("stream %d seq %d: no replay payload", d.Stream, d.Seq)
+		}
+		if d.Replay.SafetyFactor != 0.7 {
+			t.Fatalf("stream %d seq %d planned under safety factor %v, want 0.7",
+				d.Stream, d.Seq, d.Replay.SafetyFactor)
+		}
 	}
 }

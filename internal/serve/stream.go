@@ -195,27 +195,26 @@ func (s *Server) buildStreamWith(id int, cfg StreamConfig, warm *sched.Models, g
 	s.clones.Add(1)
 	s.met.cloneCtr.Inc()
 	so := s.opts.Observer.StreamObserverGen(id, cfg.Name, gen)
-	// Per-stream online adapter, wrapping the stream's own models clone.
+	// Per-stream online adapter, wrapping the stream's own models clone
+	// and committing to this board's registry behind its rollout gate.
 	// The version label is board-qualified ("b1/s3.v2") so streams that
 	// migrate never collide with the destination board's native labels
 	// in its registry.
-	var adapter *adapt.Adapter
+	var acfg *adapt.Config
 	if ac := s.opts.Adapt; ac != nil {
-		acfg := *ac
-		acfg.Label = fmt.Sprintf("s%d", id)
+		c := *ac
+		c.Label = fmt.Sprintf("s%d", id)
 		if s.opts.Name != "" {
-			acfg.Label = s.opts.Name + "/" + acfg.Label
+			c.Label = s.opts.Name + "/" + c.Label
 		}
-		acfg.Registry = s.adaptReg
-		acfg.Gate = s.adaptGate
-		adapter, err = adapt.New(acfg, models)
-		if err != nil {
-			return nil, err
-		}
+		c.Registry = s.adaptReg
+		c.Gate = s.adaptGate
+		acfg = &c
 	}
 	p, err := core.NewPipeline(core.Options{
 		Models: models, SLO: cfg.SLO, Policy: cfg.Policy, Observer: so,
-		Degrade: cfg.Degrade, Adapter: adapter,
+		Degrade: cfg.Degrade, Adapt: acfg,
+		SafetyFactor: s.opts.SafetyFactor,
 		ReplayTrace:  s.opts.ReplayTrace,
 		RiskQuantile: s.opts.RiskQuantile,
 	})

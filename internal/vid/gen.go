@@ -62,19 +62,19 @@ var Archetypes = []Archetype{
 	},
 }
 
+// frameWidth and frameHeight are every generated video's native
+// resolution.
+const (
+	frameWidth  = 1280
+	frameHeight = 720
+)
+
 // GenConfig controls video generation.
 type GenConfig struct {
-	Width, Height int // native resolution; defaults to 1280x720
-	Frames        int // frames per video; defaults to 240
+	Frames int // frames per video; defaults to 240
 }
 
 func (c *GenConfig) applyDefaults() {
-	if c.Width == 0 {
-		c.Width = 1280
-	}
-	if c.Height == 0 {
-		c.Height = 720
-	}
 	if c.Frames == 0 {
 		c.Frames = 240
 	}
@@ -164,10 +164,10 @@ func GenerateWithProfile(name string, seed int64, cfg GenConfig, p ContentProfil
 
 func generateWith(name string, seed int64, cfg GenConfig, p ContentProfile, rng *rand.Rand) *Video {
 	v := &Video{
-		Name: name, Width: cfg.Width, Height: cfg.Height,
+		Name: name, Width: frameWidth, Height: frameHeight,
 		Profile: p, Seed: seed,
 	}
-	short := math.Min(float64(cfg.Width), float64(cfg.Height))
+	short := math.Min(frameWidth, frameHeight)
 
 	// Pick a small set of classes for the video (VID clips usually follow
 	// one or two classes) and spawn the initial actors.
@@ -188,8 +188,8 @@ func generateWith(name string, seed int64, cfg GenConfig, p ContentProfile, rng 
 		aspect := math.Exp(rng.NormFloat64() * 0.3)
 		w := side * math.Sqrt(aspect)
 		h := side / math.Sqrt(aspect)
-		x := rng.Float64() * (float64(cfg.Width) - w)
-		y := rng.Float64() * (float64(cfg.Height) - h)
+		x := rng.Float64() * (frameWidth - w)
+		y := rng.Float64() * (frameHeight - h)
 		speed := p.Speed * math.Exp(rng.NormFloat64()*0.3)
 		dir := rng.Float64() * 2 * math.Pi
 		a := &actor{
@@ -213,7 +213,7 @@ func generateWith(name string, seed int64, cfg GenConfig, p ContentProfile, rng 
 	for fi := 0; fi < cfg.Frames; fi++ {
 		frame := Frame{Index: fi}
 		for _, a := range actors {
-			stepActor(a, cfg, p, rng)
+			stepActor(a, p, rng)
 			if a.occludedFor > 0 {
 				a.occludedFor--
 				continue
@@ -234,7 +234,7 @@ func generateWith(name string, seed int64, cfg GenConfig, p ContentProfile, rng 
 
 // stepActor advances one object by one frame: velocity jitter, occasional
 // direction change, edge bounce, and occlusion events.
-func stepActor(a *actor, cfg GenConfig, p ContentProfile, rng *rand.Rand) {
+func stepActor(a *actor, p ContentProfile, rng *rand.Rand) {
 	o := &a.obj
 
 	// Ornstein-Uhlenbeck-style velocity: jitter plus pull toward the
@@ -261,7 +261,7 @@ func stepActor(a *actor, cfg GenConfig, p ContentProfile, rng *rand.Rand) {
 	o.Box = o.Box.Translate(o.VX, o.VY)
 
 	// Bounce off frame edges, keeping the box inside.
-	w, h := float64(cfg.Width), float64(cfg.Height)
+	const w, h = frameWidth, frameHeight
 	if o.Box.X < 0 {
 		o.Box.X = -o.Box.X
 		o.VX = math.Abs(o.VX)
