@@ -3,9 +3,10 @@
 // adapt, admission} × {small, medium} — and emits a comparable JSON
 // report (BENCH_perf.json) with wall-clock mean/p50/p99 per simulated
 // GoF, GoF throughput per wall second, and allocs/op + bytes/op on the
-// scheduler decision path. With -compare it gates the fresh run against
-// a committed baseline: any allocs/op growth fails hard, wall time
-// fails beyond a soft calibration-normalized tolerance.
+// scheduler decision path and the per-stream model clone. With -compare
+// it gates the fresh run against a committed baseline: any allocs/op
+// growth fails hard, wall time fails beyond a soft calibration-normalized
+// tolerance.
 //
 // Usage:
 //

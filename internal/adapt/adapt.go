@@ -220,7 +220,8 @@ type Adapter struct {
 }
 
 // New builds an adapter around the live models: models stays the
-// champion the scheduler reads, and a deep clone becomes the mutable
+// champion the scheduler reads, and a clone — sharing its read-only
+// parameters, with its own copy of the refit state — becomes the mutable
 // challenger. Returns an error only when the models cannot be cloned.
 func New(cfg Config, models *sched.Models) (*Adapter, error) {
 	cfg.applyDefaults()

@@ -134,10 +134,11 @@ func (r *Registry) Demotions() int {
 }
 
 // persistedRegistry is the gob wire form: versions in deterministic
-// order with the snapshots in matching positions.
+// order with the snapshots, in sched's flat Bundle form, in matching
+// positions.
 type persistedRegistry struct {
 	Versions []Version
-	Models   []*sched.Models
+	Models   []*sched.Bundle
 }
 
 // Save writes the registry as a gob stream (versions in deterministic
@@ -147,13 +148,14 @@ func (r *Registry) Save(w io.Writer) error {
 	p := persistedRegistry{Versions: vs}
 	r.mu.Lock()
 	for _, v := range vs {
-		p.Models = append(p.Models, r.models[v.Label])
+		p.Models = append(p.Models, r.models[v.Label].Bundle())
 	}
 	r.mu.Unlock()
 	return gob.NewEncoder(w).Encode(&p)
 }
 
-// Load reads a registry previously written by Save.
+// LoadRegistry reads a registry previously written by Save, validating
+// every snapshot's shapes as sched.Load does.
 func LoadRegistry(rd io.Reader) (*Registry, error) {
 	var p persistedRegistry
 	if err := gob.NewDecoder(rd).Decode(&p); err != nil {
@@ -165,7 +167,11 @@ func LoadRegistry(rd io.Reader) (*Registry, error) {
 	}
 	r := NewRegistry()
 	for i, v := range p.Versions {
-		if err := r.Commit(v, p.Models[i]); err != nil {
+		m, err := p.Models[i].Models()
+		if err != nil {
+			return nil, fmt.Errorf("adapt: registry version %q: %w", v.Label, err)
+		}
+		if err := r.Commit(v, m); err != nil {
 			return nil, err
 		}
 	}

@@ -96,8 +96,9 @@ func (s *Store) Rehome(id int, board string) {
 }
 
 // MirrorModel records a committed adapter model version. The Models
-// pointer is the registry's immutable snapshot, shared not copied;
-// restores clone it per stream exactly as Submit clones base models.
+// pointer is the registry's frozen snapshot, shared not copied; a
+// restore clones it per stream exactly as Submit clones base models,
+// sharing its read-only parameters and copying only its refit state.
 func (s *Store) MirrorModel(label string, m *sched.Models) {
 	if m != nil {
 		s.models[label] = m

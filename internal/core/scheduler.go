@@ -199,12 +199,11 @@ type Options struct {
 type Scheduler struct {
 	opts   Options
 	models *sched.Models
-	ex     *feat.Extractor
 	sensor *ContentionSensor
 	drift  *CPUDriftEstimator
-	// seed is the trained models' FeatureSeed (1 when unset): online
-	// extraction must use the same simulated extractor weights the
-	// offline features came from, and it also seeds the breaker jitter.
+	// seed is the models' extractor seed (FeatureSeed, 1 when unset); it
+	// seeds the breaker jitter. Extraction itself runs through the
+	// bundle's shared extractor, built from the same seed.
 	seed int64
 
 	// adapter is the online model-adaptation loop (nil = frozen
@@ -280,16 +279,11 @@ func New(opts Options) (*Scheduler, error) {
 	if opts.RiskQuantile < 0 || opts.RiskQuantile >= 1 {
 		return nil, fmt.Errorf("core: RiskQuantile must be in [0, 1), got %v", opts.RiskQuantile)
 	}
-	seed := opts.Models.FeatureSeed
-	if seed == 0 {
-		seed = 1
-	}
 	s := &Scheduler{
 		opts:       opts,
 		models:     opts.Models,
-		ex:         feat.NewExtractor(seed),
 		sensor:     NewContentionSensor(),
-		seed:       seed,
+		seed:       opts.Models.ExtractorSeed(),
 		featureUse: map[feat.Kind]int{},
 		scrHeavy:   map[feat.Kind][]float64{},
 	}
@@ -656,7 +650,7 @@ func (s *Scheduler) Decide(k *mbek.Kernel, clock *simlat.Clock, v *vid.Video, f 
 		if !s.opts.IgnoreFeatureOverhead {
 			clock.Charge(CompScheduler, spec.PredictClass, spec.PredictMS)
 		}
-		heavy[kind] = s.ex.Extract(kind, v, f)
+		heavy[kind] = s.models.Extractor().Extract(kind, v, f)
 		extracted = append(extracted, kind)
 	}
 	s.scrExtracted, s.scrFailed = extracted, failed

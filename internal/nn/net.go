@@ -27,28 +27,50 @@ func NewNet(seed int64, sizes ...int) *Net {
 	return n
 }
 
-// Forward runs the network. The returned slice is owned by the last layer.
-func (n *Net) Forward(x []float64) []float64 {
-	for _, l := range n.Layers {
-		x = l.Forward(x)
+// Workspace holds the activations of one forward pass through a Net or
+// a TwoTower: one buffer per layer output, all cut from one backing
+// array. Build it with the network's NewWorkspace. A Workspace serves
+// one forward pass at a time; the network itself is read-only.
+type Workspace struct {
+	act [][]float64
+}
+
+// newWorkspace cuts one buffer per layer output from one backing array,
+// after a leading buffer of width lead when lead is positive.
+func newWorkspace(lead int, layers []*Dense) *Workspace {
+	total := lead
+	for _, l := range layers {
+		total += l.Out
+	}
+	buf := make([]float64, total)
+	ws := &Workspace{act: make([][]float64, 0, len(layers)+1)}
+	if lead > 0 {
+		ws.act = append(ws.act, buf[:lead:lead])
+		buf = buf[lead:]
+	}
+	for _, l := range layers {
+		ws.act = append(ws.act, buf[:l.Out:l.Out])
+		buf = buf[l.Out:]
+	}
+	return ws
+}
+
+// forwardChain runs layers in sequence, layer i writing into act[i].
+func forwardChain(layers []*Dense, act [][]float64, x []float64) []float64 {
+	for i, l := range layers {
+		x = l.Forward(act[i], x)
 	}
 	return x
 }
 
-// Backward propagates an output gradient through all layers, accumulating
-// parameter gradients, and returns the input gradient.
-func (n *Net) Backward(gout []float64) []float64 {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		gout = n.Layers[i].Backward(gout)
-	}
-	return gout
-}
+// NewWorkspace allocates the activation buffers for one forward pass.
+func (n *Net) NewWorkspace() *Workspace { return newWorkspace(0, n.Layers) }
 
-// Step applies the optimizer update to every layer.
-func (n *Net) Step(lr, momentum, l2 float64, batch int) {
-	for _, l := range n.Layers {
-		l.Step(lr, momentum, l2, batch)
-	}
+// Forward runs the network with activations in ws, which must come from
+// n.NewWorkspace. The returned slice is ws's output buffer, overwritten
+// by the next Forward through ws.
+func (n *Net) Forward(ws *Workspace, x []float64) []float64 {
+	return forwardChain(n.Layers, ws.act, x)
 }
 
 // ParamCount returns the total number of trainable parameters.
@@ -86,8 +108,6 @@ type TwoTower struct {
 	ProjA *Dense // light-weight feature projection
 	ProjB *Dense // content feature projection
 	Trunk *Net
-
-	concat []float64
 }
 
 // TwoTowerConfig sizes a TwoTower network.
@@ -114,37 +134,24 @@ func NewTwoTower(cfg TwoTowerConfig) *TwoTower {
 		trunk.Layers = append(trunk.Layers, NewDense(sizes[i], sizes[i+1], relu, rng))
 	}
 	t.Trunk = trunk
-	t.concat = make([]float64, 2*cfg.ProjDim)
 	return t
 }
 
-// Forward runs the two-tower network on the (light, content) input pair.
-func (t *TwoTower) Forward(a, b []float64) []float64 {
-	if len(t.concat) != t.ProjA.Out+t.ProjB.Out {
-		// Reallocated lazily so gob-decoded models work.
-		t.concat = make([]float64, t.ProjA.Out+t.ProjB.Out)
-	}
-	pa := t.ProjA.Forward(a)
-	pb := t.ProjB.Forward(b)
-	copy(t.concat, pa)
-	copy(t.concat[len(pa):], pb)
-	return t.Trunk.Forward(t.concat)
+// NewWorkspace allocates the activation buffers for one forward pass:
+// the concatenated projections, then one buffer per trunk layer.
+func (t *TwoTower) NewWorkspace() *Workspace {
+	return newWorkspace(t.ProjA.Out+t.ProjB.Out, t.Trunk.Layers)
 }
 
-// Backward propagates the output gradient and accumulates parameter
-// gradients in both towers and the trunk.
-func (t *TwoTower) Backward(gout []float64) {
-	gconcat := t.Trunk.Backward(gout)
+// Forward runs the two-tower network on the (light, content) input pair
+// with activations in ws, which must come from t.NewWorkspace. The two
+// projections write straight into their halves of the concatenation.
+func (t *TwoTower) Forward(ws *Workspace, a, b []float64) []float64 {
+	cat := ws.act[0]
 	na := t.ProjA.Out
-	t.ProjA.Backward(gconcat[:na])
-	t.ProjB.Backward(gconcat[na:])
-}
-
-// Step applies the optimizer update everywhere.
-func (t *TwoTower) Step(lr, momentum, l2 float64, batch int) {
-	t.ProjA.Step(lr, momentum, l2, batch)
-	t.ProjB.Step(lr, momentum, l2, batch)
-	t.Trunk.Step(lr, momentum, l2, batch)
+	t.ProjA.Forward(cat[:na], a)
+	t.ProjB.Forward(cat[na:], b)
+	return forwardChain(t.Trunk.Layers, ws.act[1:], cat)
 }
 
 // ParamCount returns the total number of trainable parameters.

@@ -12,7 +12,7 @@ func TestDenseForwardKnownValues(t *testing.T) {
 	// Overwrite with known weights: y0 = x0 + 2*x1 + 1, y1 = -x0 + 0.5.
 	d.W = []float64{1, 2, -1, 0}
 	d.B = []float64{1, 0.5}
-	y := d.Forward([]float64{3, 4})
+	y := d.Forward(make([]float64, 2), []float64{3, 4})
 	if math.Abs(y[0]-12) > 1e-12 || math.Abs(y[1]-(-2.5)) > 1e-12 {
 		t.Fatalf("forward = %v", y)
 	}
@@ -23,10 +23,10 @@ func TestDenseReLUClampsNegative(t *testing.T) {
 	d := NewDense(1, 1, true, rng)
 	d.W = []float64{-1}
 	d.B = []float64{0}
-	if y := d.Forward([]float64{5}); y[0] != 0 {
+	if y := d.Forward(make([]float64, 1), []float64{5}); y[0] != 0 {
 		t.Fatalf("ReLU output = %v, want 0", y[0])
 	}
-	if y := d.Forward([]float64{-5}); y[0] != 5 {
+	if y := d.Forward(make([]float64, 1), []float64{-5}); y[0] != 5 {
 		t.Fatalf("ReLU output = %v, want 5", y[0])
 	}
 }
@@ -46,9 +46,11 @@ func TestGradientCheck(t *testing.T) {
 	n := NewNet(3, 4, 5, 2)
 	x := []float64{0.3, -0.7, 1.2, 0.1}
 	target := []float64{0.5, -0.2}
+	ws := n.NewWorkspace()
+	st := newChainState(n.Layers, false)
 
 	loss := func() float64 {
-		pred := n.Forward(x)
+		pred := n.Forward(ws, x)
 		var l float64
 		for i := range pred {
 			d := pred[i] - target[i]
@@ -59,14 +61,14 @@ func TestGradientCheck(t *testing.T) {
 
 	// Analytic gradients.
 	grad := make([]float64, 2)
-	pred := n.Forward(x)
+	pred := n.Forward(ws, x)
 	MSEGrad(pred, target, grad)
-	n.Backward(grad)
+	st.backward(n.Layers, x, ws.act, grad)
 
 	const eps = 1e-6
 	for li, layer := range n.Layers {
 		for wi := range layer.W {
-			analytic := layer.gw[wi]
+			analytic := st[li].gw[wi]
 			orig := layer.W[wi]
 			layer.W[wi] = orig + eps
 			lp := loss()
@@ -80,7 +82,7 @@ func TestGradientCheck(t *testing.T) {
 			}
 		}
 		for bi := range layer.B {
-			analytic := layer.gb[bi]
+			analytic := st[li].gb[bi]
 			orig := layer.B[bi]
 			layer.B[bi] = orig + eps
 			lp := loss()
@@ -102,9 +104,10 @@ func TestTwoTowerGradientCheck(t *testing.T) {
 	a := []float64{0.1, -0.5, 0.9}
 	b := []float64{0.4, 0.2, -0.3, 0.8}
 	target := []float64{0.3, 0.7}
+	st := newTwoTowerState(tt)
 
 	loss := func() float64 {
-		pred := tt.Forward(a, b)
+		pred := tt.Forward(st.ws, a, b)
 		var l float64
 		for i := range pred {
 			d := pred[i] - target[i]
@@ -113,9 +116,9 @@ func TestTwoTowerGradientCheck(t *testing.T) {
 		return l / float64(len(pred))
 	}
 	grad := make([]float64, 2)
-	pred := tt.Forward(a, b)
+	pred := tt.Forward(st.ws, a, b)
 	MSEGrad(pred, target, grad)
-	tt.Backward(grad)
+	st.backward(a, b, grad)
 
 	const eps = 1e-6
 	check := func(name string, w []float64, g []float64) {
@@ -132,9 +135,9 @@ func TestTwoTowerGradientCheck(t *testing.T) {
 			}
 		}
 	}
-	check("projA.W", tt.ProjA.W, tt.ProjA.gw)
-	check("projB.W", tt.ProjB.W, tt.ProjB.gw)
-	check("trunk0.W", tt.Trunk.Layers[0].W, tt.Trunk.Layers[0].gw)
+	check("projA.W", tt.ProjA.W, st.projA.gw)
+	check("projB.W", tt.ProjB.W, st.projB.gw)
+	check("trunk0.W", tt.Trunk.Layers[0].W, st.trunk[0].gw)
 }
 
 func TestNetLearnsLinearFunction(t *testing.T) {

@@ -38,6 +38,8 @@ func (g *GateResult) Summary() string {
 //     the count is deterministic, so any growth is a real regression);
 //   - bytes/op on the decision path must not grow (hard fail, same
 //     reasoning);
+//   - allocs and bytes per model clone must not grow (hard fail, same
+//     reasoning: admission stays a copy of the refit state only);
 //   - calibration-normalized per-GoF wall time may drift up to wallTol
 //     (e.g. 0.15 = +15%; timing is noisy, so the tolerance is soft by
 //     design and a negative wallTol disables the check entirely).
@@ -69,6 +71,16 @@ func Compare(cur, base *Report, wallTol float64) *GateResult {
 			g.Failures = append(g.Failures, fmt.Sprintf(
 				"%s: bytes/decision %d > baseline %d",
 				name, c.Mem.DecisionBytes, b.Mem.DecisionBytes))
+		}
+		if c.Mem.CloneAllocs > b.Mem.CloneAllocs {
+			g.Failures = append(g.Failures, fmt.Sprintf(
+				"%s: allocs/clone %d > baseline %d",
+				name, c.Mem.CloneAllocs, b.Mem.CloneAllocs))
+		}
+		if c.Mem.CloneBytes > b.Mem.CloneBytes {
+			g.Failures = append(g.Failures, fmt.Sprintf(
+				"%s: bytes/clone %d > baseline %d",
+				name, c.Mem.CloneBytes, b.Mem.CloneBytes))
 		}
 		if wallTol >= 0 {
 			switch {

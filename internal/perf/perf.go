@@ -2,7 +2,8 @@
 // driver that sweeps a configuration matrix over the serving and fleet
 // engines and emits a comparable JSON report (BENCH_perf.json) of
 // wall-clock per-GoF latency, simulated-GoF throughput, and allocs/op +
-// bytes/op on the scheduler decision path, plus the regression-gate
+// bytes/op on the scheduler decision path and the per-stream model
+// clone, plus the regression-gate
 // compare logic CI runs against the committed baseline.
 //
 // Every number in a report is either *simulated* (Sim, Mem) — a pure
@@ -55,11 +56,14 @@ type SimStats struct {
 // runtime.ReadMemStats deltas on a single goroutine (GOMAXPROCS(1), GC
 // quiesced) so they are exact and reproducible. DecisionAllocs is the
 // gated number: allocations per scheduler Decide+SetBranch on a warm
-// pipeline. GoFAllocs covers the full harness step (kernel execution,
-// feedback, adapter) for context.
+// pipeline. CloneAllocs, also gated, is one sched.Models.Clone — the
+// per-stream admission cost. GoFAllocs covers the full harness step
+// (kernel execution, feedback, adapter) for context.
 type MemStats struct {
 	DecisionAllocs uint64 `json:"allocs_per_decision"`
 	DecisionBytes  uint64 `json:"bytes_per_decision"`
+	CloneAllocs    uint64 `json:"allocs_per_clone"`
+	CloneBytes     uint64 `json:"bytes_per_clone"`
 	GoFAllocs      uint64 `json:"allocs_per_gof"`
 	GoFBytes       uint64 `json:"bytes_per_gof"`
 }

@@ -181,6 +181,17 @@ func TestCompareGate(t *testing.T) {
 			t.Fatalf("expected fail: %s", g.Summary())
 		}
 	})
+	t.Run("clone allocs or bytes regression is a hard fail", func(t *testing.T) {
+		cur := mkReport(10, cell("a", 20, 800, 1.0))
+		cur.Cells[0].Mem.CloneAllocs = 1
+		if g := Compare(cur, base, 0.15); g.OK() || len(g.Failures) != 1 {
+			t.Fatalf("expected 1 allocs/clone failure: %s", g.Summary())
+		}
+		cur.Cells[0].Mem.CloneAllocs, cur.Cells[0].Mem.CloneBytes = 0, 1
+		if g := Compare(cur, base, 0.15); g.OK() || len(g.Failures) != 1 {
+			t.Fatalf("expected 1 bytes/clone failure: %s", g.Summary())
+		}
+	})
 	t.Run("wall within tolerance passes", func(t *testing.T) {
 		g := Compare(mkReport(10, cell("a", 20, 800, 1.14)), base, 0.15)
 		if !g.OK() {

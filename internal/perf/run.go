@@ -92,9 +92,9 @@ func Run(models *sched.Models, cells []Cell, opts RunOptions) (*Report, error) {
 		rep.Cells = append(rep.Cells, cr)
 		if opts.Log != nil {
 			opts.Log(fmt.Sprintf(
-				"%-28s gofs=%-5d attain=%.2f allocs/dec=%d B/dec=%d gof_mean=%.3fms",
+				"%-28s gofs=%-5d attain=%.2f allocs/dec=%d B/dec=%d allocs/clone=%d gof_mean=%.3fms",
 				c.Name, cr.Sim.GoFs, cr.Sim.AttainRate,
-				cr.Mem.DecisionAllocs, cr.Mem.DecisionBytes, cr.Wall.GoFMeanMS))
+				cr.Mem.DecisionAllocs, cr.Mem.DecisionBytes, cr.Mem.CloneAllocs, cr.Wall.GoFMeanMS))
 		}
 	}
 	return rep, nil
@@ -118,8 +118,13 @@ func runCell(models *sched.Models, c Cell, opts RunOptions) (CellResult, error) 
 	if err != nil {
 		return cr, err
 	}
+	cloneAllocs, cloneBytes, err := measureCloneLoop(models, opts.DecisionOps)
+	if err != nil {
+		return cr, err
+	}
 	cr.Mem = MemStats{
 		DecisionAllocs: decAllocs, DecisionBytes: decBytes,
+		CloneAllocs: cloneAllocs, CloneBytes: cloneBytes,
 		GoFAllocs: gofAllocs, GoFBytes: gofBytes,
 	}
 	if !opts.SkipWall {
@@ -416,12 +421,36 @@ func measureDecisionLoop(models *sched.Models, c Cell, seed int64, ops int) (all
 	return a, by, nil
 }
 
+// measureCloneLoop returns the exact allocs and bytes of one
+// sched.Models.Clone — what every stream admission, adapter challenger,
+// promotion and rollback pays.
+func measureCloneLoop(models *sched.Models, ops int) (allocs, bytes uint64, err error) {
+	i := 0
+	a, by := measureAllocs(
+		func() { _, err = models.Clone() },
+		func() bool {
+			if i >= ops || err != nil {
+				return false
+			}
+			_, err = models.Clone()
+			i++
+			return true
+		},
+	)
+	return a, by, err
+}
+
 // measureAllocs pins the scheduler to one processor, runs warmup (lazy
 // initialization, cache fills) outside the measured window, quiesces
 // the GC, then drives op until it returns false, returning exact
 // per-iteration Mallocs and TotalAlloc deltas. Determinism: on a single
-// goroutine with no timers the runtime performs no background heap
-// allocation, so the same seed yields the same counts on every machine.
+// goroutine with no timers the runtime allocates in the window only for
+// op itself — with one exception op must avoid. The runtime fills the
+// cache of an interface type assertion lazily, at a random ~1-in-1024
+// miss, with a small heap allocation; rand.New asserts its source, so an
+// op that builds a rand.Rand per call can allocate that cache at a random
+// point of some run. Reseeding one generator (as fault.Injector does)
+// keeps such sites out of the window.
 func measureAllocs(warmup func(), op func() bool) (allocsPerOp, bytesPerOp uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	if warmup != nil {

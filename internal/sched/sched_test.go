@@ -344,8 +344,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveLoadRoundTripAfterRefit(t *testing.T) {
 	// Mutate a trained bundle the way the online adapter does — RLS-moved
-	// latency coefficients, per-branch bias, accuracy recalibration, the
-	// global CPU-side multiplier — and check a gob round trip preserves
+	// latency coefficients, per-branch bias, variance accumulators,
+	// accuracy recalibration, the global CPU-side multiplier — and check a
+	// gob round trip preserves
 	// every prediction bit for bit. This is what makes a promoted
 	// challenger snapshot in the registry equivalent to the live champion.
 	ds, orig := fixture(t)
@@ -353,22 +354,7 @@ func TestSaveLoadRoundTripAfterRefit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for bi, lr := range m.LatDet {
-		for i := range lr.Coef {
-			lr.Coef[i] += 0.01 * float64(bi+1) * float64(i+1)
-		}
-		lr.Intercept += 0.5 * float64(bi)
-	}
-	for bi, lr := range m.LatTrk {
-		lr.Intercept -= 0.25 * float64(bi)
-	}
-	m.LatBiasMS = make([]float64, len(m.Branches))
-	for i := range m.LatBiasMS {
-		m.LatBiasMS[i] = 0.125 * float64(i)
-	}
-	m.AccScale = 0.9375
-	m.AccBias = 0.015625
-	m.LatCPUAdj = 1.8125
+	refitLikeAdapter(m)
 
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"litereconfig/internal/detect"
 	"litereconfig/internal/feat"
@@ -14,11 +15,14 @@ import (
 	"litereconfig/internal/nn"
 )
 
-// Models bundles everything the online scheduler loads: the branch space,
-// the content-agnostic and content-aware accuracy predictors, the
-// per-branch latency regressions, the feature standardizers, and the
-// benefit table.
-type Models struct {
+// Params is the read-only part of a model bundle: the branch space, the
+// accuracy predictors, the tracker-failure models, the feature
+// standardizers and sketches, and the benefit table — everything
+// training produces and online adaptation never refits. Every clone of
+// a bundle shares one Params, so all streams of a server or fleet read
+// the same weights; nothing may write to a Params once Train or Load
+// has returned it.
+type Params struct {
 	Branches []mbek.Branch
 	Det      detect.Model
 
@@ -32,6 +36,64 @@ type Models struct {
 	// the content-aware prediction degrades gracefully to the
 	// content-agnostic one.
 	ContentNets map[feat.Kind]*nn.TwoTower
+
+	// FailNets holds one logistic (logit-link binomial GLM) model per
+	// branch predicting the tracker-failure probability from the light
+	// features: the probability that the branch's snippet mAP collapses
+	// below half the best achievable mAP (the tracker lost its objects
+	// before the next detector refresh). A zero-value entry (no
+	// coefficients) — including every pre-risk bundle — predicts zero
+	// failure probability.
+	FailNets []glm.Model
+
+	// LightNorm standardizes the light features; HeavyNorm standardizes
+	// each heavy feature.
+	LightNorm *Standardizer
+	HeavyNorm map[feat.Kind]*Standardizer
+
+	// Sketch holds the frozen random projection (rows x SketchDim) per
+	// heavy feature, applied after standardization and before the tower.
+	Sketch map[feat.Kind][][]float64
+
+	// Ben is the offline benefit table of Sec. 3.4.
+	Ben *BenTable
+
+	// FeatureSeed identifies the feature-extractor instance (the
+	// simulated embedding networks' weights) the training features came
+	// from. The online scheduler MUST extract with the same seed, or the
+	// content towers see inputs from a different distribution.
+	FeatureSeed int64
+
+	exOnce sync.Once
+	ex     *feat.Extractor
+}
+
+// ExtractorSeed is the seed of the bundle's online feature extractor:
+// FeatureSeed, or 1 for a bundle that does not record one.
+func (p *Params) ExtractorSeed() int64 {
+	if p.FeatureSeed == 0 {
+		return 1
+	}
+	return p.FeatureSeed
+}
+
+// Extractor returns the bundle's online feature extractor, built from
+// ExtractorSeed the first time any clone asks for it and shared
+// read-only from then on. Building it lazily keeps its cost out of
+// Load for runs that never extract a heavy feature.
+func (p *Params) Extractor() *feat.Extractor {
+	p.exOnce.Do(func() { p.ex = feat.NewExtractor(p.ExtractorSeed()) })
+	return p.ex
+}
+
+// Models is one stream's view of a bundle: the shared read-only Params
+// plus exactly the state online adaptation (package adapt) refits and
+// the predictors' private workspace. Clone copies only this part, so a
+// clone is cheap and every clone of a bundle predicts identically until
+// one of them is refit. A single Models value is NOT safe for
+// concurrent predictor calls; concurrent streams use one clone each.
+type Models struct {
+	*Params
 
 	// LatDet and LatTrk are per-branch linear regressions predicting the
 	// per-frame detector (GPU) and tracker (CPU) base costs from the
@@ -52,29 +114,8 @@ type Models struct {
 	// degrades to the point estimate.
 	LatVar []glm.VarAcc
 
-	// FailNets holds one logistic (logit-link binomial GLM) model per
-	// branch predicting the tracker-failure probability from the light
-	// features: the probability that the branch's snippet mAP collapses
-	// below half the best achievable mAP (the tracker lost its objects
-	// before the next detector refresh). Stored by value so gob encodes
-	// the slice; a zero-value entry (no coefficients) — including every
-	// pre-risk bundle — predicts zero failure probability.
-	FailNets []glm.Model
-
-	// LightNorm standardizes the light features; HeavyNorm standardizes
-	// each heavy feature.
-	LightNorm *Standardizer
-	HeavyNorm map[feat.Kind]*Standardizer
-
-	// Sketch holds the frozen random projection (rows x SketchDim) per
-	// heavy feature, applied after standardization and before the tower.
-	Sketch map[feat.Kind][][]float64
-
-	// Ben is the offline benefit table of Sec. 3.4.
-	Ben *BenTable
-
 	// LatBiasMS, AccScale and AccBias hold the online-adaptation
-	// calibration state (package adapt); all zero on freshly trained or
+	// calibration state; all zero on freshly trained or
 	// pre-adaptation models. LatBiasMS is a per-branch additive
 	// correction in realized (post device/contention scaling)
 	// milliseconds applied on top of the L0 regressions; AccScale and
@@ -94,17 +135,10 @@ type Models struct {
 	AccBias   float64
 	LatCPUAdj float64
 
-	// FeatureSeed identifies the feature-extractor instance (the
-	// simulated embedding networks' weights) the training features came
-	// from. The online scheduler MUST extract with the same seed, or the
-	// content towers see inputs from a different distribution.
-	FeatureSeed int64
-
-	// Reusable scratch for the ...Into predictor variants. Unexported,
-	// so gob serialization (Save/Load/Clone) drops it: every clone
-	// starts with nil scratch and grows its own, which is what makes
-	// per-stream clones safe to use concurrently. A single Models value
-	// is NOT safe for concurrent predictor calls.
+	// Predictor workspace, private to this value and built on first
+	// use: network activations and the ...Into variants' scratch.
+	lightWS    *nn.Workspace
+	contentWS  [feat.NumKinds]*nn.Workspace
 	scrNorm    []float64 // LightNorm output
 	scrHeavy   []float64 // HeavyNorm output
 	scrSketch  []float64 // random-projection output
@@ -121,14 +155,14 @@ func Train(cfg Config, ds *Dataset) (*Models, error) {
 	if len(ds.Samples) == 0 {
 		return nil, fmt.Errorf("sched: empty dataset")
 	}
-	m := &Models{
+	m := &Models{Params: &Params{
 		Branches:    cfg.Branches,
 		Det:         detect.FasterRCNN,
 		ContentNets: map[feat.Kind]*nn.TwoTower{},
 		HeavyNorm:   map[feat.Kind]*Standardizer{},
 		Sketch:      map[feat.Kind][][]float64{},
 		FeatureSeed: cfg.Seed,
-	}
+	}}
 	sketchRng := rand.New(rand.NewSource(cfg.Seed + 9999))
 	for _, k := range feat.HeavyKinds() {
 		dim := feat.SpecOf(k).Dim
@@ -136,10 +170,9 @@ func Train(cfg Config, ds *Dataset) (*Models, error) {
 		if sk > dim {
 			sk = dim
 		}
-		proj := make([][]float64, dim)
+		proj := contiguousRows(dim, sk)
 		scale := 1 / math.Sqrt(float64(dim))
 		for i := range proj {
-			proj[i] = make([]float64, sk)
 			for j := range proj[i] {
 				proj[i][j] = sketchRng.NormFloat64() * scale
 			}
@@ -207,8 +240,9 @@ func Train(cfg Config, ds *Dataset) (*Models, error) {
 	// Content-aware accuracy models, one per heavy feature, trained on
 	// the light model's residual with stronger weight decay.
 	residuals := make([][]float64, len(train))
+	ws := m.LightNet.NewWorkspace()
 	for i := range train {
-		pred := m.LightNet.Forward(normLights[i])
+		pred := m.LightNet.Forward(ws, normLights[i])
 		res := make([]float64, len(pred))
 		for j := range pred {
 			res[j] = targets[i][j] - pred[j]
@@ -368,7 +402,10 @@ func (m *Models) PredictAccuracyLight(light []float64) []float64 {
 // and stays valid until the caller's next use of that buffer.
 func (m *Models) PredictAccuracyLightInto(dst, light []float64) []float64 {
 	m.scrNorm = m.LightNorm.ApplyInto(m.scrNorm, light)
-	out := m.LightNet.Forward(m.scrNorm)
+	if m.lightWS == nil {
+		m.lightWS = m.LightNet.NewWorkspace()
+	}
+	out := m.LightNet.Forward(m.lightWS, m.scrNorm)
 	dst = append(dst[:0], out...)
 	if m.AccScale != 0 && (m.AccScale != 1 || m.AccBias != 0) {
 		for i := range dst {
@@ -417,7 +454,12 @@ func (m *Models) predictAccuracyContentInto(dst []float64, k feat.Kind, light, h
 		panic(fmt.Sprintf("sched: no content model for %v", k))
 	}
 	dst = m.PredictAccuracyLightInto(dst, light)
-	res := net.Forward(m.scrNorm, m.sketchApplyInto(k, heavy))
+	ws := m.contentWS[k]
+	if ws == nil {
+		ws = net.NewWorkspace()
+		m.contentWS[k] = ws
+	}
+	res := net.Forward(ws, m.scrNorm, m.sketchApplyInto(k, heavy))
 	for i := range dst {
 		dst[i] += res[i]
 	}
@@ -608,12 +650,26 @@ func (m *Models) sketchApplyInto(k feat.Kind, heavy []float64) []float64 {
 			continue
 		}
 		row := proj[i]
-		for j := range out {
-			out[j] += zi * row[j]
+		acc := out[:len(row)] // every row is len(out) wide; proves acc[j]
+		for j, r := range row {
+			acc[j] += zi * r
 		}
 	}
 	m.scrSketch = out
 	return out
+}
+
+// contiguousRows returns n zeroed rows of the given width cut from one
+// backing array. Sketches are laid out this way: the per-decision
+// projection streams through every row, and adjacent rows let the
+// hardware prefetcher keep up.
+func contiguousRows(n, width int) [][]float64 {
+	buf := make([]float64, n*width)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = buf[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
 }
 
 // BenTable is the offline-computed benefit lookup of Sec. 3.4: the

@@ -112,7 +112,8 @@ type BoardConfig struct {
 // Options configures a Server.
 type Options struct {
 	// Models is the trained scheduler bundle. Each stream receives its
-	// own deep clone (the prediction networks are not concurrency-safe).
+	// own clone: it shares the bundle's read-only parameters and owns its
+	// refit state and predictor workspace.
 	Models *sched.Models
 	BoardConfig
 	// Observer is the opt-in observability sink: scheduler decision
@@ -218,7 +219,7 @@ type Server struct {
 	tasks    chan func()
 	workerWG sync.WaitGroup
 
-	// clones counts Models deep-clones — one per accepted stream, never
+	// clones counts Models clones — one per accepted stream, never
 	// one for a rejected or post-drain submission.
 	clones atomic.Int64
 
@@ -341,7 +342,7 @@ func (s *Server) AdaptRegistry() *adapt.Registry { return s.adaptReg }
 // plain error when the server is draining or the config is invalid.
 //
 // Validation, backpressure and identity assignment all happen before
-// the expensive Models deep-clone: a rejected or post-drain submission
+// the Models clone and pipeline build: a rejected or post-drain submission
 // never pays for a pipeline it will not run. The queue slot is reserved
 // under the lock, the clone runs outside it, and the stream only enters
 // the queue if the server has not started draining in the meantime.
@@ -396,7 +397,7 @@ func (s *Server) rejectLocked(cfg StreamConfig) error {
 		ErrQueueFull, s.opts.QueueLimit, cfg.Name)
 }
 
-// Clones returns the number of Models deep-clones performed; rejected
+// Clones returns the number of Models clones performed; rejected
 // submissions do not clone.
 func (s *Server) Clones() int { return int(s.clones.Load()) }
 
